@@ -162,10 +162,15 @@ def chi_period(D: FundamentalDiscriminant) -> np.ndarray:
 
 
 def chi_values_up_to(D: FundamentalDiscriminant, x: int) -> np.ndarray:
-    """int8 array v of length x+1 with v[n] = chi(n); v[0] = 0."""
+    """int8 array v of length x+1 with v[n] = chi(n); v[0] = 0.
+
+    One np.tile pass over the cached period, cut to length x+1.  The result
+    is a fresh writable array: writing into it leaves chi_period(D) as it
+    was.
+    """
     if x < 0:
         raise DomainError("x must be nonnegative")
-    return np.resize(chi_period(D), x + 1)
+    return np.tile(chi_period(D), -(-(x + 1) // D.q))[: x + 1]
 
 
 def char_partial_sum(D: FundamentalDiscriminant, N: int) -> int:

@@ -185,7 +185,15 @@ def write_scan_csv(rows: list[ScanRow], fh) -> None:
 # Subcommands
 
 
+def _check_jobs(jobs: int) -> None:
+    """--jobs must lie in [1, os.cpu_count()]; checked before any pool starts."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise DomainError(f"--jobs must be between 1 and {cpus}, got {jobs}")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _check_jobs(args.jobs)
     cfg = RunConfig(
         cache_dir=args.cache_dir or default_cache_dir(),
         jobs=args.jobs,
@@ -247,6 +255,7 @@ def _cmd_lvalues(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    _check_jobs(args.jobs)
     rows = scan_discriminants(args.dmin, args.dmax, args.x, jobs=args.jobs)
     if args.out:
         with open(args.out, "w") as fh:

@@ -132,11 +132,18 @@ def _chi_over_n_partial(D: FundamentalDiscriminant, x: int) -> float:
     return main + tail
 
 
+def _check_truncation(x: float, q: int) -> None:
+    """A series truncation must be a finite number >= q."""
+    if not math.isfinite(x):
+        raise DomainError(f"truncation x must be finite, got {x}")
+    if x < q:
+        raise DomainError("truncation x must be >= q")
+
+
 def l_one(D: FundamentalDiscriminant, x: float) -> LValueEstimate:
     """Truncated L(1, chi) = sum_{n<=x} chi(n)/n with tail bound sqrt(q) log(q)/x."""
     q = D.q
-    if x < q:
-        raise DomainError("truncation x must be >= q")
+    _check_truncation(x, q)
     value = _chi_over_n_partial(D, math.floor(x))
     bound = math.sqrt(q) * math.log(q) / x
     return LValueEstimate(value=value, truncation=float(x), bound=bound, method="direct")
@@ -149,8 +156,7 @@ def l_one_prime_direct(D: FundamentalDiscriminant, x: float) -> LValueEstimate:
     the Polya-Vinogradov bound.
     """
     q = D.q
-    if x < q:
-        raise DomainError("truncation x must be >= q")
+    _check_truncation(x, q)
     X = math.floor(x)
     if X > _DIRECT_LIMIT:
         raise DomainError("direct L' truncation above the desk limit")
@@ -183,8 +189,7 @@ def l_one_prime_tau(
     plus the propagated L(1) tail, (log x + gamma) * sqrt(q) log(q) / x^2.
     """
     q = D.q
-    if x < q:
-        raise DomainError("truncation x must be >= q")
+    _check_truncation(x, q)
     if c_cal <= 0:
         raise DomainError("c_cal must be positive")
     X = math.floor(x)

@@ -12,6 +12,9 @@ On top of the sieve sit the divisor functionals used by the analytic checks:
     rho_u(m, u)           = sum_{d | m, d > u} lambda(d)
     tau_chi(D, n)         = sum_{d | n} chi(d)
     psi_u(D, z, u)        = sum_{u < n <= z} Lambda(n) chi(n)
+
+Whole tables of such sums (rho_u(m) and tau(m, chi) for every m <= X) come
+from one kernel, divisor_accumulate.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .characters import FundamentalDiscriminant, chi_period
+from .characters import FundamentalDiscriminant, chi_period, chi_values_up_to
 from .errors import CapacityError, DomainError
 
 __all__ = [
@@ -35,6 +38,7 @@ __all__ = [
     "divisor_lambda_sum",
     "rho_u",
     "tau_chi",
+    "divisor_accumulate",
     "tau_chi_table",
     "psi_u",
 ]
@@ -224,16 +228,44 @@ def tau_chi(D: FundamentalDiscriminant, n: int) -> int:
     return int(sum(int(per[d % q]) for d, _ in _divisors_with_parity(n)))
 
 
-def tau_chi_table(D: FundamentalDiscriminant, x: int) -> np.ndarray:
-    """tau(n, chi) for all n <= x at once, by divisor accumulation."""
-    per = chi_period(D)
-    q = D.q
-    acc = np.zeros(x + 1, dtype=np.int64)
-    for d in range(1, x + 1):
-        v = int(per[d % q])
+def divisor_accumulate(w: np.ndarray, lo: int, X: int) -> np.ndarray:
+    """int64 array acc of length X+1 with acc[n] = sum_{d | n, d >= lo} w[d].
+
+    The one divisor-accumulation kernel: the result equals the literal loop
+    ``for d in range(lo, X + 1): acc[d::d] += w[d]`` exactly, since the sums
+    are int64.  w is indexed at 1..X (any integer dtype); lo >= 1, and
+    lo > X gives all zeros.
+
+    Each d <= isqrt(X) takes one slice pass over its multiples.  The larger
+    d have at most isqrt(X) multiples each, so they go by multiplier
+    instead: one fancy-index pass acc[k*ds] += w[ds] per k.  For a fixed k
+    the indices k*d are distinct, so the buffered += adds every term once.
+    """
+    if lo < 1:
+        raise DomainError("divisor accumulation starts at d >= 1")
+    acc = np.zeros(X + 1, dtype=np.int64)
+    r = math.isqrt(X)
+    for d in range(lo, r + 1):
+        v = int(w[d])
         if v:
             acc[d::d] += v
+    ds = np.arange(max(lo, r + 1), X + 1, dtype=np.int64)
+    wd = w[ds].astype(np.int64)
+    keep = wd != 0
+    ds, wd = ds[keep], wd[keep]
+    if ds.size:
+        for k in range(1, X // int(ds[0]) + 1):
+            n = int(np.searchsorted(ds, X // k, side="right"))
+            acc[k * ds[:n]] += wd[:n]
     return acc
+
+
+def tau_chi_table(D: FundamentalDiscriminant, x: int) -> np.ndarray:
+    """tau(n, chi) for all n <= x at once: divisor_accumulate over chi(d), d >= 1.
+
+    int64, length x+1, entry 0 is 0.
+    """
+    return divisor_accumulate(chi_values_up_to(D, x), 1, x)
 
 
 def psi_u(

@@ -53,6 +53,7 @@ from .lseries import (
 )
 from .sieve import (
     _factorize,
+    divisor_accumulate,
     liouville_table,
     primes_upto,
     rho_u,
@@ -299,9 +300,7 @@ def verify_exponential_decomposition(
         count += int(np.sum(r_top))
 
     mtop = X // (FU + 1)
-    rho = np.zeros(mtop + 1, dtype=np.int64)
-    for dd in range(FU + 1, mtop + 1):
-        rho[dd::dd] += int(lam[dd])
+    rho = divisor_accumulate(lam, FU + 1, mtop)
     flat = 0.0 + 0.0j
     sl = pp_range(FU, X)
     for i in range(sl.start, sl.stop):
@@ -361,9 +360,7 @@ def verify_rho_swap_and_skeleton(
     lam = liouville_table(T).astype(np.int64)
     ch = chi_values_up_to(D, T).astype(np.int64)
 
-    rho = np.zeros(T + 1, dtype=np.int64)
-    for dd in range(FU + 1, T + 1):
-        rho[dd::dd] += int(lam[dd])
+    rho = divisor_accumulate(lam, FU + 1, T)
     rho_chi = rho * ch
     lhs_a = int(np.sum(rho_chi[FU + 1 :]))
 
@@ -456,12 +453,12 @@ def _lambda_chi_cumsum(D: FundamentalDiscriminant, X: int) -> np.ndarray:
 
 
 def _rho_table(X: int, u: float) -> np.ndarray:
-    """rho_u(m) for all m <= X by divisor-slice accumulation (d > u strict)."""
-    lam = liouville_table(X)
-    rho = np.zeros(X + 1, dtype=np.int64)
-    for dd in range(math.floor(u) + 1, X + 1):
-        rho[dd::dd] += int(lam[dd])
-    return rho
+    """rho_u(m) for all m <= X (d > u strict), as int64.
+
+    Accumulated from lambda(d) over the divisors d > u by divisor_accumulate,
+    never through the square identity, which the checks test.
+    """
+    return divisor_accumulate(liouville_table(X), math.floor(u) + 1, X)
 
 
 def verify_psi_transfer(
@@ -806,6 +803,8 @@ def scan_discriminants(d_lo: int, d_hi: int, x: float, jobs: int = 1) -> list[Sc
         raise DomainError("need d_lo <= d_hi")
     if jobs < 1:
         raise DomainError("jobs must be >= 1")
+    if not math.isfinite(x):
+        raise DomainError(f"truncation x must be finite, got {x}")
     q_max = max(abs(d_lo), abs(d_hi))
     if x < q_max:
         raise DomainError("truncation x must cover every modulus in range")
@@ -955,6 +954,8 @@ def run_suite(
     """Run one named suite and return its reports."""
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if two_var_cases < 0 or swap_cases < 0:
+        raise DomainError("case counts must be >= 0")
     reports: list[IdentityReport] = []
 
     if suite in ("identities", "all"):

@@ -149,6 +149,21 @@ def test_chi_values_up_to_matches_pointwise():
             assert int(vals[n]) == chi_eval(D, n)
 
 
+@pytest.mark.parametrize("d", [-3, -4, 5, 8])
+def test_chi_values_up_to_tiles_the_period(d):
+    D = FundamentalDiscriminant(d)
+    q = D.q
+    period = chi_period(D).copy()
+    for x in (0, q - 2, q - 1, q, 10 * q + 3):
+        vals = chi_values_up_to(D, x)
+        assert vals.dtype == np.int8 and vals.shape == (x + 1,)
+        assert vals[0] == 0
+        assert [int(v) for v in vals[1:]] == [chi_eval(D, n) for n in range(1, x + 1)]
+        # a fresh array: writing into it must not reach the cached period
+        vals[:] = 7
+        assert np.array_equal(chi_period(D), period), (d, x)
+
+
 def test_full_period_sums_to_zero():
     for D in enumerate_fundamentals(-100, 100):
         assert int(np.sum(chi_period(D).astype(np.int64))) == 0, D.d

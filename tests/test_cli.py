@@ -116,6 +116,45 @@ def test_scan_x_too_small_exits_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lvalues", "--d", "-3", "--x", "nan"],
+        ["lvalues", "--d", "-3", "--x", "inf"],
+        ["lvalues", "--d", "-3", "--x", "nan", "--method", "tau"],
+        ["scan", "--dmin", "-50", "--dmax", "-1", "--x", "inf"],
+    ],
+)
+def test_non_finite_truncation_exits_two(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+
+
+CPUS = os.cpu_count() or 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "identities", "--two-var-cases", "-1"],
+        ["verify", "--suite", "identities", "--swap-cases", "-1"],
+        ["verify", "--suite", "scan-smoke", "--jobs", "0"],
+        ["verify", "--suite", "scan-smoke", "--jobs", str(CPUS + 1)],
+        ["scan", "--dmin", "-50", "--dmax", "-1", "--x", "1e3", "--jobs", "0"],
+        ["scan", "--dmin", "-50", "--dmax", "-1", "--x", "1e3", "--jobs", str(CPUS + 1)],
+    ],
+)
+def test_out_of_range_counts_exit_two(argv, capsys, monkeypatch):
+    # the argument is rejected before any work: a pool would be a failure
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr("siegelscan.verify.multiprocessing.Pool", no_pool)
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 CONSOLE_ARGV = ["lvalues", "--d", "-3", "--x", "1e4"]
 
 

@@ -129,6 +129,10 @@ def test_l_value_domain_errors():
         l_one_prime_direct(D, 10**8)  # beyond the literal-summation limit
     with pytest.raises(DomainError):
         l_one_prime_tau(D, 10**6, c_cal=0.0)
+    for fn in (l_one, l_one_prime_direct, l_one_prime_tau):
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                fn(D, x)
 
 
 def test_euler_p_ratio_points():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import factorint
 
 from siegelscan import (
@@ -12,7 +14,9 @@ from siegelscan import (
     FundamentalDiscriminant,
     build_sieve,
     chi_eval,
+    chi_values_up_to,
     divisor_lambda_sum,
+    enumerate_fundamentals,
     liouville_table,
     primes_upto,
     psi_u,
@@ -20,7 +24,7 @@ from siegelscan import (
     tau_chi,
     tau_chi_table,
 )
-from siegelscan.sieve import shared_sieve
+from siegelscan.sieve import divisor_accumulate, shared_sieve
 
 
 def brute_arith(n):
@@ -140,6 +144,44 @@ def test_tau_chi_points_and_table():
         table = tau_chi_table(Dd, 500)
         for n in range(1, 501):
             assert int(table[n]) == tau_chi(Dd, n), (d, n)
+
+
+def literal_divisor_loop(w, lo, X):
+    """The reference: one slice pass per divisor d in [lo, X]."""
+    acc = np.zeros(X + 1, dtype=np.int64)
+    for d in range(lo, X + 1):
+        acc[d::d] += w[d]
+    return acc
+
+
+@st.composite
+def kernel_cases(draw):
+    X = draw(st.integers(1, 2000))
+    r = math.isqrt(X)
+    # lo anywhere in [1, X+1], and often right at the slice/fancy-index split
+    near_split = [v for v in (r - 1, r, r + 1, r + 2) if 1 <= v <= X + 1]
+    lo = draw(st.one_of(st.integers(1, X + 1), st.sampled_from(near_split)))
+    d = draw(st.sampled_from([None] + [D.d for D in enumerate_fundamentals(-60, 60)]))
+    if d is None:
+        w = liouville_table(X)
+    else:
+        w = chi_values_up_to(FundamentalDiscriminant(d), X)
+    assert w.dtype == np.int8
+    return w, lo, X
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_divisor_accumulate_matches_literal_loop(case):
+    w, lo, X = case
+    got = divisor_accumulate(w, lo, X)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, literal_divisor_loop(w, lo, X))
+
+
+def test_divisor_accumulate_rejects_lo_below_one():
+    with pytest.raises(DomainError):
+        divisor_accumulate(liouville_table(10), 0, 10)
 
 
 def test_tau_chi_nonnegative():

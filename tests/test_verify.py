@@ -199,6 +199,9 @@ def test_scan_jobs_equivalence():
 def test_scan_requires_large_x():
     with pytest.raises(DomainError):
         scan_discriminants(-50, -1, 10)
+    for x in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            scan_discriminants(-50, -1, x)
 
 
 def test_swap_triples_deterministic():
@@ -211,6 +214,10 @@ def test_swap_triples_deterministic():
 def test_run_suite_unknown():
     with pytest.raises(DomainError):
         run_suite("bogus")
+    with pytest.raises(DomainError):
+        run_suite("identities", two_var_cases=-1)
+    with pytest.raises(DomainError):
+        run_suite("identities", swap_cases=-1)
 
 
 def test_run_suite_corollaries():
