@@ -96,7 +96,7 @@ def main() -> int:
             report = json.load(fh)
 
     runs: dict[str, list] = {"parent": [], "change": []}
-    stamps: dict[str, list] = {"parent": [], "change": []}
+    stamps: dict[str, dict] = {}
     failed = {"parent": 0, "change": 0}
     attempted = {"parent": 0, "change": 0}
     seeds = []
@@ -107,7 +107,7 @@ def main() -> int:
         for side in order:
             result, stamp = run_once(getattr(args, side), args.workload, seed, seconds)
             runs[side].append(result)
-            stamps[side].append(stamp)
+            stamps.setdefault(side, stamp)
             failed[side] += result["failed"]
             attempted[side] += result["attempted"]
             print(f"{args.workload} pair {i + 1}/{args.pairs} {side} seed {seed} "
@@ -118,7 +118,7 @@ def main() -> int:
             "failed": failed,
             "attempted": attempted,
             "metrics": compare(spec, runs),
-            "stamps": {side: s[0] for side, s in stamps.items()},
+            "stamps": stamps,
         }
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=1)
