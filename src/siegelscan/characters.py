@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
+from .primes import primes_upto
 
 __all__ = [
     "FundamentalDiscriminant",
@@ -123,31 +124,22 @@ def chi_eval(D: FundamentalDiscriminant, n: int) -> int:
     return kronecker_symbol(D.d, n)
 
 
-def _small_primes(n: int) -> list[int]:
-    # local sieve; kept tiny on purpose (n is a modulus, at most ~1e6 here)
-    if n < 2:
-        return []
-    mask = bytearray([1]) * (n + 1)
-    mask[0] = mask[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
-    return [i for i in range(2, n + 1) if mask[i]]
-
-
 @lru_cache(maxsize=512)
 def _period_and_prefix(d: int) -> tuple[np.ndarray, np.ndarray, int]:
     """One period of chi as an int8 array indexed by n mod q, plus prefix sums.
 
     chi(r) for 1 <= r < q is assembled multiplicatively from chi at primes:
     chi(p^k) = chi(p)^k, so one pass of slice multiplications over prime
-    powers < q fills the period.  prefix[r] = sum_{n <= r} chi(n).
+    powers < q fills the period; primes with chi(p) = 1 need no pass.
+    prefix[r] = sum_{n <= r} chi(n).
     """
     q = abs(d)
     vals = np.ones(q, dtype=np.int8)
     vals[0] = 0
-    for p in _small_primes(q - 1):
+    for p in primes_upto(q - 1).tolist():
         v = kronecker_symbol(d, p)
+        if v == 1:
+            continue
         pk = p
         while pk < q:
             vals[pk::pk] *= v

@@ -13,6 +13,12 @@ rearrangement
 with err of size O(q^{1/4} x^{-1/2} log x); the rearranged route uses
 L(1, chi) truncated at x^2 so its own error stays below that envelope.
 
+All three length-x sums have the form sum_{n<=x} chi(n) w(n) with weights
+(1/n, log(n)/n, H(floor(x/n))/n) that do not depend on d.  The weights are
+cached per x, and one kernel, _chi_weighted_sum, multiplies them by a single
+block of chi values covering whole periods and sums the products once; the
+two direct sums are also memoised by (d, floor(x)).
+
 The module also carries the product quantities used by the discriminant scan
 
     P(q)       = prod_{p<=q} (1 - 1/p)(1 + chi(p)/p)^{-1}
@@ -34,8 +40,8 @@ import numpy as np
 from scipy.special import digamma
 
 from .characters import FundamentalDiscriminant, chi_period, chi_values_up_to
-from .errors import ContractError, DomainError
-from .sieve import primes_upto
+from .errors import CapacityError, ContractError, DomainError
+from .sieve import DEFAULT_MAX_WIDTH, primes_upto
 
 __all__ = [
     "EULER_GAMMA",
@@ -96,19 +102,64 @@ def _log_over_n(x: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
-def _harmonic_and_floors(x: int) -> tuple[np.ndarray, np.ndarray]:
-    """(H, F) with H[j] = sum_{k<=j} 1/k (H[0] = 0) and F[i] = x // (i+1)."""
+def _tau_weights(x: int) -> np.ndarray:
+    """w[n-1] = H(floor(x/n))/n for n <= x, H(j) = sum_{k<=j} 1/k.
+
+    The D-independent weights of tau_over_n_sum, cached per x as one array.
+    Each entry is the product (1/n) * H(floor(x/n)) rounded once, so
+    chi(n) * w[n-1] equals (chi(n)/n) * H(floor(x/n)) exactly: chi(n) is
+    -1, 0 or 1.
+    """
     h = np.zeros(x + 1, dtype=np.float64)
     np.cumsum(_inv_n(x), out=h[1:])
     floors = x // np.arange(1, x + 1, dtype=np.int64)
-    return h, floors
+    return _inv_n(x) * h[floors]
+
+
+# The chi block of _chi_weighted_sum spans whole periods and at least this
+# many terms, so that every np.multiply row is long.
+_BLOCK_MIN = 4096
+
+
+def _chi_weighted_sum(D: FundamentalDiscriminant, w: np.ndarray) -> float:
+    """sum_{n=1}^{x} chi(n) w[n-1] for a float64 weight array w of length x.
+
+    chi(1..B) is taken once as a float64 block, B a whole number of periods
+    and at least _BLOCK_MIN (or x, if x is smaller).  The weights, viewed as
+    K rows of B, are multiplied by that block into one float64 array, the
+    tail of x - K B terms by the head of the block, and one np.sum runs over
+    the result.  The products and their order are those of the literal
+    np.sum(chi[1:x+1].astype(np.float64) * w), so the value is bit-identical
+    to it.
+    """
+    x = w.size
+    q = D.q
+    B = min(x, -(-_BLOCK_MIN // q) * q)
+    block = chi_values_up_to(D, B)[1:].astype(np.float64)
+    K, R = divmod(x, B)
+    out = np.empty(x, dtype=np.float64)
+    np.multiply(w[: K * B].reshape(K, B), block, out=out[: K * B].reshape(K, B))
+    np.multiply(w[K * B :], block[:R], out=out[K * B :])
+    return float(np.sum(out))
+
+
+# The direct sums are memoised by (d, X): D compares and hashes by d alone.
+@lru_cache(maxsize=1024)
+def _direct_chi_over_n(D: FundamentalDiscriminant, X: int) -> float:
+    return _chi_weighted_sum(D, _inv_n(X))
+
+
+@lru_cache(maxsize=1024)
+def _direct_chi_log_over_n(D: FundamentalDiscriminant, X: int) -> float:
+    return -_chi_weighted_sum(D, _log_over_n(X))
 
 
 def _chi_over_n_partial(D: FundamentalDiscriminant, x: int) -> float:
     """sum_{n<=x} chi(n)/n exactly as written (up to rounding).
 
-    Literal vectorized summation below _DIRECT_LIMIT.  Beyond that the sum is
-    grouped into complete periods: with x = K q + R,
+    Literal summation below _DIRECT_LIMIT, by _chi_weighted_sum and memoised
+    by (d, x).  Beyond that the sum is grouped into complete periods: with
+    x = K q + R,
 
         sum_{n<=Kq} chi(n)/n = (1/q) sum_{r=1}^{q} chi(r) [psi(K + r/q) - psi(r/q)]
 
@@ -117,8 +168,7 @@ def _chi_over_n_partial(D: FundamentalDiscriminant, x: int) -> float:
     """
     q = D.q
     if x <= _DIRECT_LIMIT:
-        ch = chi_values_up_to(D, x)[1:].astype(np.float64)
-        return float(np.sum(ch * _inv_n(x)))
+        return _direct_chi_over_n(D, x)
     per = chi_period(D)
     K, R = divmod(x, q)
     r = np.arange(1, q + 1, dtype=np.float64)
@@ -153,15 +203,15 @@ def l_one_prime_direct(D: FundamentalDiscriminant, x: float) -> LValueEstimate:
     """Truncated L'(1, chi) = -sum_{n<=x} chi(n) log(n)/n.
 
     Tail bound 2 sqrt(q) log(q) (log x + 1)/x by partial summation against
-    the Polya-Vinogradov bound.
+    the Polya-Vinogradov bound.  The sum goes through _chi_weighted_sum and
+    is memoised by (d, floor(x)); truncation and bound come from x itself.
     """
     q = D.q
     _check_truncation(x, q)
     X = math.floor(x)
     if X > _DIRECT_LIMIT:
         raise DomainError("direct L' truncation above the desk limit")
-    ch = chi_values_up_to(D, X)[1:].astype(np.float64)
-    value = -float(np.sum(ch * _log_over_n(X)))
+    value = _direct_chi_log_over_n(D, X)
     bound = 2.0 * math.sqrt(q) * math.log(q) * (math.log(x) + 1.0) / x
     return LValueEstimate(value=value, truncation=float(x), bound=bound, method="direct")
 
@@ -170,12 +220,17 @@ def tau_over_n_sum(D: FundamentalDiscriminant, x: int) -> float:
     """sum_{n<=x} tau(n, chi)/n via the divisor pairing n = d k:
 
         sum_{d<=x} chi(d)/d * H(floor(x/d)),   H = harmonic numbers.
+
+    The weights H(floor(x/d))/d do not depend on D; they are cached per x
+    (_tau_weights) and summed against chi by _chi_weighted_sum.  x above
+    sieve.DEFAULT_MAX_WIDTH raises CapacityError before anything is
+    allocated.
     """
     if x < 1:
         raise DomainError("x must be >= 1")
-    h, floors = _harmonic_and_floors(x)
-    ch = chi_values_up_to(D, x)[1:].astype(np.float64)
-    return float(np.sum(ch * _inv_n(x) * h[floors]))
+    if x > DEFAULT_MAX_WIDTH:
+        raise CapacityError(f"tau sum length {x} exceeds budget {DEFAULT_MAX_WIDTH}")
+    return _chi_weighted_sum(D, _tau_weights(x))
 
 
 def l_one_prime_tau(

@@ -27,6 +27,7 @@ import numpy as np
 
 from .characters import FundamentalDiscriminant, chi_period, chi_values_up_to
 from .errors import CapacityError, DomainError
+from .primes import primes_upto
 
 __all__ = [
     "SieveTable",
@@ -48,18 +49,6 @@ __all__ = [
 DEFAULT_MAX_WIDTH = 1 << 26
 
 RANGE_LIMIT = 1 << 40
-
-
-def primes_upto(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array."""
-    if n < 2:
-        return np.zeros(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
 
 
 @dataclass(frozen=True)

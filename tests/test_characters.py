@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import factorint
 from sympy.functions.combinatorial.numbers import kronecker_symbol as sympy_kronecker
 
@@ -229,3 +231,12 @@ def test_chi_eval_rejects_nonpositive():
         chi_eval(D, 0)
     with pytest.raises(DomainError):
         chi_eval(D, -3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([D.d for D in enumerate_fundamentals(-5000, 5000)]))
+def test_chi_period_matches_kronecker(d):
+    q = abs(d)
+    table = chi_period(FundamentalDiscriminant(d))
+    assert table.dtype == np.int8 and table.shape == (q,)
+    assert table.tolist() == [kronecker_symbol(d, n) for n in range(q)]

@@ -155,6 +155,20 @@ def test_out_of_range_counts_exit_two(argv, capsys, monkeypatch):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_tau_beyond_capacity_exits_one(capsys, monkeypatch):
+    # the guard fires before the length-x weights exist: building them fails
+    def no_weights(x):
+        raise AssertionError("tau weights were built")
+
+    monkeypatch.setattr("siegelscan.lseries._tau_weights", no_weights)
+    assert main(["lvalues", "--d", "-4", "--method", "tau", "--x", "1e9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert "Traceback" not in captured.err
+
+
 CONSOLE_ARGV = ["lvalues", "--d", "-3", "--x", "1e4"]
 
 
@@ -199,7 +213,9 @@ def test_installed_console_script_runs():
 SCAN_HEADER = "d,q,L1,L1_err,L1prime,Pq,rhs_main,ratio_main,score"
 
 
-def test_scan_csv_header_and_determinism(tmp_path):
+def test_scan_csv_header_and_determinism(tmp_path, monkeypatch):
+    # --jobs 2 must pass the CLI's CPU-count check on a 1-CPU host as well
+    monkeypatch.setattr("siegelscan.cli.os.cpu_count", lambda: 2)
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     code, _ = run_main(

@@ -5,14 +5,19 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegelscan import (
+    CapacityError,
     ContractError,
     DomainError,
     FundamentalDiscriminant,
     MultiplicativeFunc,
+    chi_values_up_to,
     class_number_oracle,
     coprime_zeta2_partial,
+    enumerate_fundamentals,
     epsilon_functional,
     error_functionals,
     euler_p_ratio,
@@ -31,6 +36,8 @@ from siegelscan import (
     theta_and_s,
     values_up_to,
 )
+from siegelscan import lseries
+from siegelscan.sieve import DEFAULT_MAX_WIDTH
 from siegelscan.verify import _coprime_zeta2_exact
 
 KNOWN_CLASS_NUMBERS = {
@@ -282,3 +289,102 @@ def test_estimate_fields():
     assert est.bound > 0
     ref = class_number_oracle(FundamentalDiscriminant(-4))
     assert ref.bound == 0.0 and math.isinf(ref.truncation)
+
+
+# ------------------------------------------------- chi-block weighted sums
+
+
+def literal_sums(D, x):
+    """(L(1), L'(1), tau/n) partial sums as literal length-x numpy formulas.
+
+    These are the expressions the chi-block kernel replaced; its results must
+    equal them bit for bit, not merely approximately.
+    """
+    ch = chi_values_up_to(D, x)[1:].astype(np.float64)
+    ns = np.arange(1, x + 1, dtype=np.float64)
+    inv = 1.0 / ns
+    h = np.zeros(x + 1, dtype=np.float64)
+    np.cumsum(inv, out=h[1:])
+    floors = x // np.arange(1, x + 1, dtype=np.int64)
+    return (
+        float(np.sum(ch * inv)),
+        -float(np.sum(ch * (np.log(ns) / ns))),
+        float(np.sum(ch * inv * h[floors])),
+    )
+
+
+def kernel_sums(D, x):
+    return (
+        l_one(D, x).value,
+        l_one_prime_direct(D, x).value,
+        tau_over_n_sum(D, x),
+    )
+
+
+FUNDAMENTALS_TO_5000 = [D.d for D in enumerate_fundamentals(-5000, 5000)]
+
+
+@st.composite
+def d_and_x(draw):
+    d = draw(st.sampled_from(FUNDAMENTALS_TO_5000))
+    return d, draw(st.integers(abs(d), 30000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d_and_x())
+def test_kernel_sums_equal_literal_formulas(case):
+    d, x = case
+    D = FundamentalDiscriminant(d)
+    assert kernel_sums(D, x) == literal_sums(D, x)
+
+
+def edge_truncations(q):
+    """x = q, B-1, B, B+1 and multiples of q, B the kernel's chi block (x >= q)."""
+    B = -(-lseries._BLOCK_MIN // q) * q
+    return sorted(x for x in {q, B - 1, B, B + 1, 2 * B + 1, 7 * q, 3 * B} if x >= q)
+
+
+@pytest.mark.parametrize("d", [-3, -4, 5, 8, -8])
+def test_kernel_sums_block_edges(d):
+    D = FundamentalDiscriminant(d)
+    for x in edge_truncations(D.q):
+        assert kernel_sums(D, x) == literal_sums(D, x), x
+
+
+def test_kernel_sums_modulus_above_block():
+    # q > _BLOCK_MIN: the block is a single period
+    for d in (-4103, 4105, -4184):
+        D = FundamentalDiscriminant(d)
+        assert D.q > lseries._BLOCK_MIN
+        for x in edge_truncations(D.q) + [D.q + 1, 3 * D.q - 1]:
+            assert kernel_sums(D, x) == literal_sums(D, x), (d, x)
+
+
+def test_direct_sums_memoised_by_floor_of_x():
+    D = FundamentalDiscriminant(-23)
+    before = lseries._direct_chi_over_n.cache_info().hits
+    a = l_one(D, 1e4)
+    b = l_one(D, 1e4 + 0.5)
+    assert lseries._direct_chi_over_n.cache_info().hits >= before + 1
+    assert a.value == b.value
+    assert (a.truncation, b.truncation) == (1e4, 1e4 + 0.5)
+    assert a.bound == math.sqrt(23) * math.log(23) / 1e4
+    assert b.bound == math.sqrt(23) * math.log(23) / (1e4 + 0.5)
+    c = l_one_prime_direct(D, 1e4)
+    e = l_one_prime_direct(D, 1e4 + 0.5)
+    assert c.value == e.value
+    assert (c.truncation, e.truncation) == (1e4, 1e4 + 0.5)
+    assert c.bound != e.bound
+
+
+def test_tau_over_n_sum_capacity_guard(monkeypatch):
+    # raised before any weight array is built
+    def no_weights(x):
+        raise AssertionError("tau weights were built")
+
+    monkeypatch.setattr(lseries, "_tau_weights", no_weights)
+    D = FundamentalDiscriminant(-4)
+    with pytest.raises(CapacityError):
+        tau_over_n_sum(D, DEFAULT_MAX_WIDTH + 1)
+    with pytest.raises(CapacityError):
+        l_one_prime_tau(D, 1e9)

@@ -35,6 +35,16 @@ def brute_arith(n):
     return omega, (-1) ** omega, base
 
 
+def test_one_prime_sieve():
+    # the tracer rebinds layer functions by identity, so these must be one object
+    import siegelscan
+    from siegelscan import characters, primes, sieve
+
+    assert sieve.primes_upto is primes.primes_upto
+    assert siegelscan.primes_upto is primes.primes_upto
+    assert characters.primes_upto is primes.primes_upto
+
+
 def test_primes_upto_frozen():
     assert primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_upto(1).size == 0
