@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .primes import primes_upto
+from .primes import factorize, primes_upto
 
 __all__ = [
     "FundamentalDiscriminant",
@@ -35,31 +35,19 @@ __all__ = [
 ]
 
 
-def _is_squarefree(m: int) -> bool:
-    m = abs(m)
-    if m == 0:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return False
-        d += 1 if d == 2 else 2
-    return True
-
-
 def is_fundamental(d: int) -> bool:
     """True iff d is a fundamental discriminant (d = 1 is excluded)."""
     if d == 0 or d == 1:
         return False
     r = d % 4
     if r == 1:
-        return _is_squarefree(d)
-    if r == 0:
+        m = d
+    elif r == 0 and (d // 4) % 4 in (2, 3):
         m = d // 4
-        return m % 4 in (2, 3) and _is_squarefree(m)
-    return False
+    else:
+        return False
+    # m != 0 here, since d = 0 is excluded above
+    return all(e == 1 for _, e in factorize(abs(m)))
 
 
 @dataclass(frozen=True)

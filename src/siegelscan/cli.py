@@ -1,21 +1,13 @@
-"""Command line front end and the on-disk sieve cache.
+"""Command line front end.
 
 Subcommands:
 
     verify   run a named check suite, print one PASS/FAIL line per check
     lvalues  print truncated L-values (and the class number reference) for one d
     scan     write the discriminant scan as CSV
-    cache    build or inspect cached sieve segments
 
-Exit codes: 0 when everything passed, 1 on a failed check or an IO/format
-problem, 2 on usage or domain errors.
-
-Cache format (file "sieve-<lo>-<hi>.bin"): magic "SGLSIEV1", then lo and hi
-as little-endian u64, then one packed record per integer in [lo, hi]:
-u8 Omega, u8 lambda flag (0 means +1, 1 means -1), u32 prime-power base.
-The u32 field caps cached segments at hi < 2^32; larger tables stay
-in-memory only.  Anything malformed raises CacheFormatError and the caller
-rebuilds from scratch.
+Exit codes: 0 when everything passed, 1 on a failed check, an IO problem or
+a size beyond the memory budget, 2 on usage or domain errors.
 """
 
 from __future__ import annotations
@@ -24,16 +16,11 @@ import argparse
 import csv
 import json
 import os
-import struct
 import sys
-from dataclasses import dataclass
-
-import numpy as np
 
 from .characters import FundamentalDiscriminant
-from .errors import CacheFormatError, CapacityError, DomainError
+from .errors import CapacityError, DomainError
 from .lseries import class_number_oracle, l_one, l_one_prime_tau
-from .sieve import SieveTable, build_sieve
 from .verify import (
     DEFAULT_SEED,
     SUITES,
@@ -44,100 +31,10 @@ from .verify import (
 )
 
 __all__ = [
-    "RunConfig",
-    "default_cache_dir",
-    "cache_path",
-    "save_sieve",
-    "load_sieve",
-    "cached_sieve",
     "report_dict",
     "write_scan_csv",
     "main",
 ]
-
-CACHE_MAGIC = b"SGLSIEV1"
-_HEADER = struct.Struct("<QQ")
-_REC_DTYPE = np.dtype([("omega", "u1"), ("lam", "u1"), ("pp", "<u4")])
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings shared by the subcommands."""
-
-    cache_dir: str
-    jobs: int = 1
-    c_max: float = 100.0
-    seed: int = DEFAULT_SEED
-    pnt_c: float = 0.1
-
-
-def default_cache_dir() -> str:
-    return os.environ.get("SIEGEL_CACHE_DIR", ".cache")
-
-
-def cache_path(cache_dir: str, lo: int, hi: int) -> str:
-    return os.path.join(cache_dir, f"sieve-{lo}-{hi}.bin")
-
-
-def save_sieve(table: SieveTable, path: str) -> None:
-    """Write one sieve segment in the packed record format."""
-    if table.hi >= 1 << 32:
-        raise CapacityError("cache records hold u32 prime-power bases; hi must be < 2^32")
-    n = table.hi - table.lo + 1
-    rec = np.empty(n, dtype=_REC_DTYPE)
-    rec["omega"] = table.omega
-    rec["lam"] = (table.lambda_sign < 0).view(np.uint8)
-    rec["pp"] = table.pp_base.astype(np.uint32)
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(_HEADER.pack(table.lo, table.hi))
-        fh.write(rec.tobytes())
-
-
-def load_sieve(path: str) -> SieveTable:
-    """Read a segment back; any malformation raises CacheFormatError."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head = len(CACHE_MAGIC) + _HEADER.size
-    if len(blob) < head or blob[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise CacheFormatError(f"{path}: bad magic")
-    lo, hi = _HEADER.unpack_from(blob, len(CACHE_MAGIC))
-    if lo < 1 or hi < lo or hi >= 1 << 32:
-        raise CacheFormatError(f"{path}: bad header range [{lo}, {hi}]")
-    n = hi - lo + 1
-    body = blob[head:]
-    if len(body) != n * _REC_DTYPE.itemsize:
-        raise CacheFormatError(f"{path}: body length {len(body)} != {n} records")
-    rec = np.frombuffer(body, dtype=_REC_DTYPE)
-    if np.any(rec["lam"] > 1):
-        raise CacheFormatError(f"{path}: lambda flag outside {{0, 1}}")
-    if np.any((rec["omega"] & 1 == 1) != (rec["lam"] == 1)):
-        raise CacheFormatError(f"{path}: lambda flag disagrees with Omega parity")
-    return SieveTable(
-        lo=int(lo),
-        hi=int(hi),
-        omega=rec["omega"].copy(),
-        lambda_sign=np.where(rec["lam"] == 1, -1, 1).astype(np.int8),
-        pp_base=rec["pp"].astype(np.int64),
-    )
-
-
-def cached_sieve(lo: int, hi: int, cache_dir: str | None = None) -> SieveTable:
-    """Segment from cache if present and well-formed, else rebuild and rewrite."""
-    cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
-    path = cache_path(cache_dir, lo, hi)
-    if os.path.exists(path):
-        try:
-            return load_sieve(path)
-        except CacheFormatError:
-            pass  # stale or corrupt: fall through to a rebuild
-    table = build_sieve(lo, hi)
-    if hi < 1 << 32:
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        save_sieve(table, tmp)
-        os.replace(tmp, path)
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +91,12 @@ def _check_jobs(jobs: int) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _check_jobs(args.jobs)
-    cfg = RunConfig(
-        cache_dir=args.cache_dir or default_cache_dir(),
-        jobs=args.jobs,
-        c_max=args.c_max,
-        seed=args.seed,
-        pnt_c=args.pnt_c,
-    )
     reports = run_suite(
         args.suite,
-        seed=cfg.seed,
-        c_max=cfg.c_max,
-        pnt_c=cfg.pnt_c,
-        jobs=cfg.jobs,
+        seed=args.seed,
+        c_max=args.c_max,
+        pnt_c=args.pnt_c,
+        jobs=args.jobs,
         two_var_cases=args.two_var_cases,
         swap_cases=args.swap_cases,
     )
@@ -272,21 +162,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    if args.cache_cmd == "build":
-        cache_dir = args.cache_dir or default_cache_dir()
-        table = cached_sieve(args.lo, args.hi, cache_dir)
-        path = cache_path(cache_dir, args.lo, args.hi)
-        print(f"{path}: [{table.lo}, {table.hi}], {table.hi - table.lo + 1} records")
-        return 0
-    if args.cache_cmd == "info":
-        table = load_sieve(args.path)
-        n = table.hi - table.lo + 1
-        print(f"{args.path}: [{table.lo}, {table.hi}], {n} records, format SGLSIEV1")
-        return 0
-    raise DomainError("unknown cache subcommand")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="siegelscan")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -299,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--jobs", type=int, default=1)
     pv.add_argument("--two-var-cases", type=int, default=200)
     pv.add_argument("--swap-cases", type=int, default=500)
-    pv.add_argument("--cache-dir", default=None)
     pv.add_argument("--out", default=None, help="write the reports as a JSON array")
     pv.set_defaults(func=_cmd_verify)
 
@@ -319,16 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", default=None, help="CSV path (default stdout)")
     ps.set_defaults(func=_cmd_scan)
 
-    pc = sub.add_parser("cache", help="sieve segment cache")
-    csub = pc.add_subparsers(dest="cache_cmd", required=True)
-    cb = csub.add_parser("build", help="build and persist a segment")
-    cb.add_argument("--lo", type=int, required=True)
-    cb.add_argument("--hi", type=int, required=True)
-    cb.add_argument("--cache-dir", default=None)
-    ci = csub.add_parser("info", help="validate and describe a cache file")
-    ci.add_argument("path")
-    pc.set_defaults(func=_cmd_cache)
-
     return p
 
 
@@ -339,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CacheFormatError, CapacityError, OSError) as exc:
+    except (CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,11 +6,7 @@ class DomainError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """A request exceeds a memory or format budget."""
-
-
-class CacheFormatError(RuntimeError):
-    """A sieve cache file is corrupt or not in the expected format."""
+    """A request exceeds a memory budget."""
 
 
 class ContractError(ValueError):

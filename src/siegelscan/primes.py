@@ -1,9 +1,10 @@
-"""The one prime sieve, in a leaf module.
+"""The one prime sieve and the one factorization, in a leaf module.
 
 ``characters`` builds chi tables from chi at primes and ``sieve`` imports
 ``characters``, so the sieve of Eratosthenes lives here, where both can import
 it without a cycle.  ``sieve.primes_upto`` and ``siegelscan.primes_upto`` are
-this same function.
+this same function.  ``factorize`` serves the squarefree test of
+``characters.is_fundamental`` and the divisor enumeration of ``sieve``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import math
 
 import numpy as np
 
-__all__ = ["primes_upto"]
+from .errors import DomainError
+
+__all__ = ["primes_upto", "factorize"]
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -25,3 +28,22 @@ def primes_upto(n: int) -> np.ndarray:
         if mask[p]:
             mask[p * p :: p] = False
     return np.nonzero(mask)[0].astype(np.int64)
+
+
+def factorize(m: int) -> list[tuple[int, int]]:
+    """Prime factorization by trial division; fine for m <= 2^40."""
+    if m < 1:
+        raise DomainError("factorization needs m >= 1")
+    fac = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            fac.append((d, e))
+        d += 1 if d == 2 else 2
+    if m > 1:
+        fac.append((m, 1))
+    return fac

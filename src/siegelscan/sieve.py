@@ -27,7 +27,7 @@ import numpy as np
 
 from .characters import FundamentalDiscriminant, chi_period, chi_values_up_to
 from .errors import CapacityError, DomainError
-from .primes import primes_upto
+from .primes import factorize, primes_upto
 
 __all__ = [
     "SieveTable",
@@ -151,28 +151,9 @@ def arith_values(table: SieveTable, n: int) -> tuple[int, int, float]:
     return table.omega_of(n), table.liouville(n), table.von_mangoldt(n)
 
 
-def _factorize(m: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division; fine for m <= 2^40."""
-    if m < 1:
-        raise DomainError("factorization needs m >= 1")
-    fac = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            fac.append((d, e))
-        d += 1 if d == 2 else 2
-    if m > 1:
-        fac.append((m, 1))
-    return fac
-
-
 def _divisors_with_parity(m: int) -> Iterator[tuple[int, int]]:
     """Yield (d, total prime-factor count of d) over all divisors d of m."""
-    fac = _factorize(m)
+    fac = factorize(m)
     divs = [(1, 0)]
     for p, e in fac:
         nxt = []

@@ -51,11 +51,10 @@ from .lseries import (
     theta_and_s,
     values_up_to,
 )
+from .primes import factorize, primes_upto
 from .sieve import (
-    _factorize,
     divisor_accumulate,
     liouville_table,
-    primes_upto,
     rho_u,
     shared_sieve,
     tau_chi_table,
@@ -98,9 +97,14 @@ class IdentityReport:
     kind: str  # "exact" | "measured"
 
 
-def _exact(name: str, params: dict, lhs, rhs, tol: float) -> IdentityReport:
-    residual = abs(lhs - rhs)
-    ratio = 0.0 if residual == 0 else math.inf
+def _exact_report(
+    name: str, params: dict, lhs, rhs, residual, passed: bool
+) -> IdentityReport:
+    """An exact report with the caller's residual and verdict.
+
+    The verdict is cast to bool: a numpy residual makes it a numpy bool,
+    which json cannot write.
+    """
     return IdentityReport(
         name=name,
         params=params,
@@ -108,10 +112,15 @@ def _exact(name: str, params: dict, lhs, rhs, tol: float) -> IdentityReport:
         rhs=rhs,
         residual=float(residual),
         envelope=0.0,
-        ratio=ratio,
-        passed=residual <= tol,
+        ratio=0.0 if residual == 0 else math.inf,
+        passed=bool(passed),
         kind="exact",
     )
+
+
+def _exact(name: str, params: dict, lhs, rhs, tol: float) -> IdentityReport:
+    residual = abs(lhs - rhs)
+    return _exact_report(name, params, lhs, rhs, residual, residual <= tol)
 
 
 def _measured(
@@ -423,16 +432,9 @@ def verify_rho_swap_and_skeleton(
             "skeleton_coef_mismatch": int(coef_diff),
         }
     )
-    return IdentityReport(
-        name="rho_swap_skeleton",
-        params=params,
-        lhs=float(lhs_a),
-        rhs=float(rhs_a),
-        residual=float(residual_a + residual_b),
-        envelope=0.0,
-        ratio=0.0 if residual_a + residual_b == 0 else math.inf,
-        passed=(residual_a + residual_b) == 0,
-        kind="exact",
+    residual = residual_a + residual_b
+    return _exact_report(
+        "rho_swap_skeleton", params, float(lhs_a), float(rhs_a), residual, residual == 0
     )
 
 
@@ -634,17 +636,7 @@ def verify_tau_props(D: FundamentalDiscriminant, y: float) -> IdentityReport:
     violation = max(0.0, lhs - rhs - slack)
     passed = min_tau >= 0 and violation == 0.0
     params = {"d": D.d, "y": y, "min_tau": min_tau}
-    return IdentityReport(
-        name="tau_props",
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        residual=violation,
-        envelope=0.0,
-        ratio=0.0 if violation == 0 else math.inf,
-        passed=passed,
-        kind="exact",
-    )
+    return _exact_report("tau_props", params, lhs, rhs, violation, passed)
 
 
 def verify_theta_decomposition(
@@ -766,7 +758,7 @@ class ScanRow:
 
 def _coprime_zeta2_exact(q: int) -> float:
     acc = math.pi**2 / 6.0
-    for p, _ in _factorize(q):
+    for p, _ in factorize(q):
         acc *= 1.0 - 1.0 / (p * p)
     return acc
 
@@ -1041,14 +1033,5 @@ def _scan_smoke(jobs: int) -> IdentityReport:
     row4 = next(r for r in rows if r.d == -4)
     residual += abs(row4.pq - 0.5) + abs(row4.rhs_main - math.pi**2 / 4)
     params = {"rows": len(rows), "expected_rows": len(expected), "x": 1e5}
-    return IdentityReport(
-        name="scan_smoke",
-        params=params,
-        lhs=float(len(rows)),
-        rhs=float(len(expected)),
-        residual=residual,
-        envelope=0.0,
-        ratio=0.0 if residual == 0 else math.inf,
-        passed=residual <= 1e-9,
-        kind="exact",
-    )
+    lhs, rhs = float(len(rows)), float(len(expected))
+    return _exact_report("scan_smoke", params, lhs, rhs, residual, residual <= 1e-9)

@@ -243,9 +243,12 @@ def test_criterion_11_measured_suites_and_scan(tmp_path):
             assert rep.passed, (suite, rep.name, rep.params)
             key = f"{suite}:{rep.name}"
             max_ratios[key] = max(max_ratios.get(key, 0.0), rep.ratio)
+    # 6 significant digits: the last digits of the ratios vary between
+    # environments, and the tracked file should not change with them
+    rounded = {key: float(f"{v:.6g}") for key, v in max_ratios.items()}
     os.makedirs(ARTIFACTS, exist_ok=True)
     with open(os.path.join(ARTIFACTS, "max_ratios.json"), "w") as fh:
-        json.dump(max_ratios, fh, indent=2, sort_keys=True)
+        json.dump(rounded, fh, indent=2, sort_keys=True)
 
     t0 = time.monotonic()
     rows8 = scan_discriminants(-10**4, 10**4, 10**6, jobs=8)

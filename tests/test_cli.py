@@ -1,4 +1,4 @@
-"""CLI subcommands, exit codes, CSV determinism, and the sieve cache format."""
+"""CLI subcommands, exit codes, CSV determinism, and the ways to run the CLI."""
 
 import io
 import json
@@ -9,21 +9,10 @@ import shutil
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import siegelscan
-from siegelscan import build_sieve
-from siegelscan.cli import (
-    CACHE_MAGIC,
-    cache_path,
-    cached_sieve,
-    load_sieve,
-    main,
-    save_sieve,
-    write_scan_csv,
-)
-from siegelscan.errors import CacheFormatError, CapacityError
+from siegelscan.cli import main, write_scan_csv
 from siegelscan.verify import ScanRow, scan_discriminants
 
 
@@ -56,6 +45,20 @@ def test_verify_scan_smoke_exits_zero(tmp_path):
             "envelope", "ratio", "pass", "kind",
         }
         assert rec["pass"] is True
+
+
+def test_verify_out_writes_numpy_valued_exact_reports(tmp_path):
+    # the vm-exp-third case sums numpy complex values, so its residual and
+    # the comparison behind its verdict come out as numpy scalars
+    out = tmp_path / "reports.json"
+    code, _ = run_main(
+        "verify", "--suite", "identities", "--two-var-cases", "0",
+        "--swap-cases", "0", "--out", str(out),
+    )
+    assert code == 0
+    reports = json.loads(out.read_text())
+    assert any(rec["params"].get("f") == "vm-exp-third" for rec in reports)
+    assert all(rec["pass"] is True for rec in reports)
 
 
 def test_verify_bad_suite_exits_two():
@@ -197,6 +200,25 @@ def test_console_script_runs():
     assert_l_one_minus_3(proc)
 
 
+def test_library_does_not_import_cli():
+    # importing the package leaves the CLI unloaded, so running it with
+    # python -m (as a package or as its module) draws no runpy warning
+    pkg_home = pathlib.Path(siegelscan.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(pkg_home)}
+    code = "import sys, siegelscan; sys.exit('siegelscan.cli' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, "import siegelscan loaded siegelscan.cli"
+    for module in ("siegelscan", "siegelscan.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *CONSOLE_ARGV],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.stderr == "", (module, proc.stderr)
+        assert_l_one_minus_3(proc)
+
+
 @pytest.mark.skipif(
     shutil.which("siegelscan") is None,
     reason="no siegelscan executable on PATH (package not installed)",
@@ -258,88 +280,3 @@ def test_scan_stdout(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == SCAN_HEADER
     assert {int(l.split(",")[0]) for l in lines[1:]} == {-3, -4, -7, -8}
-
-
-# -------------------------------------------------------------- sieve cache
-
-
-def test_cache_round_trip(tmp_path):
-    table = build_sieve(1000, 5000)
-    path = tmp_path / "seg.bin"
-    save_sieve(table, str(path))
-    back = load_sieve(str(path))
-    assert back.lo == 1000 and back.hi == 5000
-    assert np.array_equal(back.omega, table.omega)
-    assert np.array_equal(back.lambda_sign, table.lambda_sign)
-    assert np.array_equal(back.pp_base, table.pp_base)
-    assert back.lambda_sign.dtype == np.int8
-    assert back.pp_base.dtype == np.int64
-
-
-def test_cache_rejects_wrong_magic(tmp_path):
-    path = tmp_path / "seg.bin"
-    save_sieve(build_sieve(1, 100), str(path))
-    raw = bytearray(path.read_bytes())
-    raw[:8] = b"NOTMAGIC"
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CacheFormatError):
-        load_sieve(str(path))
-
-
-def test_cache_rejects_truncation(tmp_path):
-    path = tmp_path / "seg.bin"
-    save_sieve(build_sieve(1, 100), str(path))
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-7])
-    with pytest.raises(CacheFormatError):
-        load_sieve(str(path))
-
-
-def test_cache_rejects_bad_lambda_flag(tmp_path):
-    path = tmp_path / "seg.bin"
-    save_sieve(build_sieve(1, 50), str(path))
-    raw = bytearray(path.read_bytes())
-    raw[len(CACHE_MAGIC) + 16 + 1] = 7  # lam byte of the first record
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CacheFormatError):
-        load_sieve(str(path))
-
-
-def test_cache_capacity_guard(tmp_path):
-    table = build_sieve(2**32 - 10, 2**32 + 10)
-    with pytest.raises(CapacityError):
-        save_sieve(table, str(tmp_path / "big.bin"))
-
-
-def test_cached_sieve_rebuilds_corrupt_file(tmp_path, monkeypatch):
-    monkeypatch.setenv("SIEGEL_CACHE_DIR", str(tmp_path))
-    first = cached_sieve(1, 300)
-    path = cache_path(str(tmp_path), 1, 300)
-    assert os.path.exists(path)
-    with open(path, "r+b") as fh:
-        fh.seek(0)
-        fh.write(b"garbage!")
-    second = cached_sieve(1, 300)
-    assert np.array_equal(second.omega, first.omega)
-    # the rewrite restored a loadable file
-    third = load_sieve(path)
-    assert np.array_equal(third.pp_base, first.pp_base)
-
-
-def test_cache_cli_build_then_info(tmp_path):
-    code, text = run_main(
-        "cache", "build", "--lo", "1", "--hi", "2000",
-        "--cache-dir", str(tmp_path),
-    )
-    assert code == 0
-    code, text = run_main("cache", "info", cache_path(str(tmp_path), 1, 2000))
-    assert code == 0
-    assert "2000" in text
-
-
-def test_cache_cli_info_corrupt_exits_one(tmp_path):
-    path = cache_path(str(tmp_path), 1, 100)
-    with open(path, "wb") as fh:
-        fh.write(b"garbage!garbage!")
-    code, _ = run_main("cache", "info", path)
-    assert code == 1
