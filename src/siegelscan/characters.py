@@ -7,6 +7,9 @@ modulus q = |d|.  chi is completely multiplicative, has period q, satisfies
 chi(-1) = sign(d), and its Gauss sum tau(chi) = sum_{a=1}^{q} chi(a) e(a/q)
 has |tau(chi)|^2 = q, with tau purely real for d > 0 and purely imaginary for
 d < 0.  Here e(t) = exp(2*pi*i*t).
+
+One int8 period of chi is cached per d.  CapacityError guards a period longer
+than primes.DEFAULT_MAX_WIDTH, DomainError a |d| beyond primes.RANGE_LIMIT.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
-from .primes import factorize, primes_upto
+from .errors import CapacityError, DomainError
+from .primes import DEFAULT_MAX_WIDTH, factorize, primes_upto
 
 __all__ = [
     "FundamentalDiscriminant",
@@ -113,15 +116,17 @@ def chi_eval(D: FundamentalDiscriminant, n: int) -> int:
 
 
 @lru_cache(maxsize=512)
-def _period_and_prefix(d: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """One period of chi as an int8 array indexed by n mod q, plus prefix sums.
+def _period(d: int) -> np.ndarray:
+    """One period of chi as an int8 array indexed by n mod q.
 
     chi(r) for 1 <= r < q is assembled multiplicatively from chi at primes:
     chi(p^k) = chi(p)^k, so one pass of slice multiplications over prime
     powers < q fills the period; primes with chi(p) = 1 need no pass.
-    prefix[r] = sum_{n <= r} chi(n).
+    q above DEFAULT_MAX_WIDTH raises CapacityError before allocating.
     """
     q = abs(d)
+    if q > DEFAULT_MAX_WIDTH:
+        raise CapacityError(f"chi period length {q} exceeds budget {DEFAULT_MAX_WIDTH}")
     vals = np.ones(q, dtype=np.int8)
     vals[0] = 0
     for p in primes_upto(q - 1).tolist():
@@ -132,13 +137,12 @@ def _period_and_prefix(d: int) -> tuple[np.ndarray, np.ndarray, int]:
         while pk < q:
             vals[pk::pk] *= v
             pk *= p
-    prefix = np.cumsum(vals, dtype=np.int64)
-    return vals, prefix, int(prefix[-1])
+    return vals
 
 
 def chi_period(D: FundamentalDiscriminant) -> np.ndarray:
     """chi over one period: an int8 array a with a[n % q] = chi(n)."""
-    return _period_and_prefix(D.d)[0]
+    return _period(D.d)
 
 
 def chi_values_up_to(D: FundamentalDiscriminant, x: int) -> np.ndarray:
@@ -154,12 +158,10 @@ def chi_values_up_to(D: FundamentalDiscriminant, x: int) -> np.ndarray:
 
 
 def char_partial_sum(D: FundamentalDiscriminant, N: int) -> int:
-    """sum_{n<=N} chi(n), exactly, via one period and its prefix sums."""
+    """sum_{n<=N} chi(n), exactly: whole periods sum to 0, so only N mod q counts."""
     if N < 0:
         raise DomainError("N must be nonnegative")
-    _, prefix, full = _period_and_prefix(D.d)
-    k, r = divmod(N, D.q)
-    return k * full + int(prefix[r])
+    return int(np.sum(chi_period(D)[: N % D.q + 1], dtype=np.int64))
 
 
 @dataclass(frozen=True)

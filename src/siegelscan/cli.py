@@ -95,7 +95,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         args.suite,
         seed=args.seed,
         c_max=args.c_max,
-        pnt_c=args.pnt_c,
         jobs=args.jobs,
         two_var_cases=args.two_var_cases,
         swap_cases=args.swap_cases,
@@ -170,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", choices=SUITES, default="all")
     pv.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pv.add_argument("--c-max", type=float, default=100.0)
-    pv.add_argument("--pnt-c", type=float, default=0.1)
     pv.add_argument("--jobs", type=int, default=1)
     pv.add_argument("--two-var-cases", type=int, default=200)
     pv.add_argument("--swap-cases", type=int, default=500)

@@ -27,6 +27,9 @@ The module also carries the product quantities used by the discriminant scan
 whose product collapses to zeta(2) prod_{p|q} (1 - 1/p^2) exactly, the class
 number formula oracle for d < 0, and the two error functionals eps(x, u) and
 M(x, omega) that appear in measured envelopes.
+
+Multiplicative functions are completely multiplicative and given by f(p)
+alone; values_up_to and theta_and_s evaluate them.
 """
 
 from __future__ import annotations
@@ -41,12 +44,11 @@ from scipy.special import digamma
 
 from .characters import FundamentalDiscriminant, chi_period, chi_values_up_to
 from .errors import CapacityError, ContractError, DomainError
-from .sieve import DEFAULT_MAX_WIDTH, primes_upto
+from .primes import DEFAULT_MAX_WIDTH, primes_upto
 
 __all__ = [
     "EULER_GAMMA",
     "LValueEstimate",
-    "ErrorFunctionals",
     "MultiplicativeFunc",
     "l_one",
     "l_one_prime_direct",
@@ -58,7 +60,6 @@ __all__ = [
     "coprime_zeta2_partial",
     "epsilon_functional",
     "mean_variation_bound",
-    "error_functionals",
     "theta_and_s",
     "mf_one",
     "mf_liouville",
@@ -73,6 +74,9 @@ EULER_GAMMA = 0.57721566490153286
 # (digamma identity) instead of literal term-by-term summation.
 _DIRECT_LIMIT = 2 * 10**7
 
+# Calibrated constant of the tau-identity error term c q^{1/4} x^{-1/2} log x.
+_TAU_C_CAL = 10.0
+
 
 @dataclass(frozen=True)
 class LValueEstimate:
@@ -82,12 +86,6 @@ class LValueEstimate:
     truncation: float
     bound: float
     method: str  # "direct" | "tau-identity" | "class-number"
-
-
-@dataclass(frozen=True)
-class ErrorFunctionals:
-    epsilon: float
-    m_bound: float
 
 
 @lru_cache(maxsize=2)
@@ -223,7 +221,7 @@ def tau_over_n_sum(D: FundamentalDiscriminant, x: int) -> float:
 
     The weights H(floor(x/d))/d do not depend on D; they are cached per x
     (_tau_weights) and summed against chi by _chi_weighted_sum.  x above
-    sieve.DEFAULT_MAX_WIDTH raises CapacityError before anything is
+    primes.DEFAULT_MAX_WIDTH raises CapacityError before anything is
     allocated.
     """
     if x < 1:
@@ -233,24 +231,21 @@ def tau_over_n_sum(D: FundamentalDiscriminant, x: int) -> float:
     return _chi_weighted_sum(D, _tau_weights(x))
 
 
-def l_one_prime_tau(
-    D: FundamentalDiscriminant, x: float, c_cal: float = 10.0
-) -> LValueEstimate:
+def l_one_prime_tau(D: FundamentalDiscriminant, x: float) -> LValueEstimate:
     """L'(1, chi) recovered from the tau(n, chi)/n partial sum.
 
         L'(1, chi) ~ sum_{n<=x} tau(n, chi)/n - L(1, chi)(log x + gamma)
 
-    using L(1, chi) truncated at x^2.  Bound: c_cal q^{1/4} x^{-1/2} log x
-    plus the propagated L(1) tail, (log x + gamma) * sqrt(q) log(q) / x^2.
+    using L(1, chi) truncated at x^2.  Bound: c q^{1/4} x^{-1/2} log x with
+    the calibrated c = _TAU_C_CAL, plus the propagated L(1) tail,
+    (log x + gamma) * sqrt(q) log(q) / x^2.
     """
     q = D.q
     _check_truncation(x, q)
-    if c_cal <= 0:
-        raise DomainError("c_cal must be positive")
     X = math.floor(x)
     l1 = l_one(D, float(x) * float(x))
     value = tau_over_n_sum(D, X) - l1.value * (math.log(x) + EULER_GAMMA)
-    bound = c_cal * q**0.25 * math.log(x) / math.sqrt(x)
+    bound = _TAU_C_CAL * q**0.25 * math.log(x) / math.sqrt(x)
     bound += (math.log(x) + EULER_GAMMA) * l1.bound
     return LValueEstimate(
         value=value, truncation=float(x), bound=bound, method="tau-identity"
@@ -370,55 +365,40 @@ def mean_variation_bound(x: float, omega: float) -> float:
     return first + second
 
 
-def error_functionals(x: float, u: float, omega: float) -> ErrorFunctionals:
-    """Both envelope functionals at once; each argument checked by name."""
-    return ErrorFunctionals(
-        epsilon=epsilon_functional(x, u),
-        m_bound=mean_variation_bound(x, omega),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Multiplicative-function descriptors and bulk evaluation
 
 
 @dataclass(frozen=True)
 class MultiplicativeFunc:
-    """A multiplicative f described by its prime-power values f(p^k).
+    """A completely multiplicative f, described by its values f(p) at primes.
 
-    All values must satisfy |f(p^k)| <= 1.  When completely_multiplicative
-    is set, f(p^k) = f(p)^k is assumed and only f(p) is consulted.
+    f(p^k) = f(p)^k, so f(p) alone determines f.  Every value must satisfy
+    |f(p)| <= 1.
     """
 
     name: str
-    prime_power: Callable[[int, int], float]
-    completely_multiplicative: bool = False
+    at_prime: Callable[[int], float]
 
-    def at(self, p: int, k: int = 1) -> float:
-        v = float(self.prime_power(p, k))
+    def at(self, p: int) -> float:
+        v = float(self.at_prime(p))
         if abs(v) > 1.0 + 1e-12:
-            raise ContractError(f"{self.name}: |f({p}^{k})| = {abs(v)} exceeds 1")
+            raise ContractError(f"{self.name}: |f({p})| = {abs(v)} exceeds 1")
         return v
 
 
 def mf_one() -> MultiplicativeFunc:
-    return MultiplicativeFunc("one", lambda p, k: 1.0, completely_multiplicative=True)
+    return MultiplicativeFunc("one", lambda p: 1.0)
 
 
 def mf_liouville() -> MultiplicativeFunc:
-    return MultiplicativeFunc(
-        "liouville", lambda p, k: (-1.0) ** k, completely_multiplicative=True
-    )
+    return MultiplicativeFunc("liouville", lambda p: -1.0)
 
 
 def mf_liouville_times_chi(D: FundamentalDiscriminant) -> MultiplicativeFunc:
     per = chi_period(D)
     q = D.q
-    return MultiplicativeFunc(
-        f"liouville*chi[{D.d}]",
-        lambda p, k: (-float(per[p % q])) ** k,
-        completely_multiplicative=True,
-    )
+    return MultiplicativeFunc(f"liouville*chi[{D.d}]", lambda p: -float(per[p % q]))
 
 
 def mf_char_flip_cutoff(D: FundamentalDiscriminant) -> MultiplicativeFunc:
@@ -430,89 +410,48 @@ def mf_char_flip_cutoff(D: FundamentalDiscriminant) -> MultiplicativeFunc:
     q = D.q
     return MultiplicativeFunc(
         f"char-flip-cutoff[{D.d}]",
-        lambda p, k: (-float(per[p % q])) ** k if p <= q else 1.0,
-        completely_multiplicative=True,
+        lambda p: -float(per[p % q]) if p <= q else 1.0,
     )
 
 
 def values_up_to(f: MultiplicativeFunc, x: int) -> np.ndarray:
     """float64 array v of length x+1 with v[n] = f(n); v[0] = 0, v[1] = 1.
 
-    Completely multiplicative f: one slice multiplication per prime power
-    (skipping f(p) = 1).  General multiplicative f: smallest-prime-factor
-    walk; slower, only used off the hot paths.
+    One slice multiplication per prime power, skipping primes with f(p) = 1.
     """
     if x < 1:
         raise DomainError("x must be >= 1")
     vals = np.ones(x + 1, dtype=np.float64)
     vals[0] = 0.0
-    primes = primes_upto(x)
-    if f.completely_multiplicative:
-        for p in primes:
-            p = int(p)
-            v = f.at(p)
-            if v == 1.0:
-                continue
-            pk = p
-            while pk <= x:
-                vals[pk::pk] *= v
-                pk *= p
-        return vals
-
-    spf = np.zeros(x + 1, dtype=np.int64)
-    for p in primes:
+    for p in primes_upto(x):
         p = int(p)
-        sl = spf[p::p]
-        sl[sl == 0] = p
-    pp_cache: dict[tuple[int, int], float] = {}
-    for n in range(2, x + 1):
-        p = int(spf[n])
-        m, k = n, 0
-        while m % p == 0:
-            m //= p
-            k += 1
-        key = (p, k)
-        w = pp_cache.get(key)
-        if w is None:
-            w = f.at(p, k)
-            pp_cache[key] = w
-        vals[n] = vals[m] * w
+        v = f.at(p)
+        if v == 1.0:
+            continue
+        pk = p
+        while pk <= x:
+            vals[pk::pk] *= v
+            pk *= p
     return vals
 
 
 def theta_and_s(f: MultiplicativeFunc, x: float) -> tuple[float, float]:
     """(Theta(f, x), s(f, x)) over primes p <= x:
 
-        Theta = prod_p (1 + f(p)/p + f(p^2)/p^2 + ...) (1 - 1/p)
+        Theta = prod_p (1 - f(p)/p)^{-1} (1 - 1/p)
         s     = sum_p |1 - f(p)| / p
 
-    The local series is summed in closed form for completely multiplicative
-    f and truncated at a 1e-12 geometric tail otherwise.
+    The local factor 1/(1 - f(p)/p) is the closed form of the series
+    sum_k f(p)^k / p^k; |f(p)| <= 1 and p >= 2 keep it positive.
     """
     if x < 2:
         return 1.0, 0.0
     log_theta = 0.0
     s = 0.0
-    dead = False
     for p in primes_upto(math.floor(x)):
         p = int(p)
         fp = f.at(p)
         s += abs(1.0 - fp) / p
-        if dead:
-            continue
-        if f.completely_multiplicative:
-            local = 1.0 / (1.0 - fp / p)
-        else:
-            local = 1.0
-            term_k, pk = 1, p
-            # |f| <= 1 makes the tail geometric with ratio 1/p
-            while 1.0 / pk > 1e-12 * (1.0 - 1.0 / p):
-                local += f.at(p, term_k) / pk
-                term_k += 1
-                pk *= p
-        if local <= 0.0:
-            dead = True
-            continue
+        local = 1.0 / (1.0 - fp / p)
         log_theta += math.log1p(-1.0 / p) + math.log(local)
-    theta = 0.0 if dead else math.exp(log_theta)
-    return theta, s
+    return math.exp(log_theta), s

@@ -1,10 +1,13 @@
-"""The one prime sieve and the one factorization, in a leaf module.
+"""The one prime sieve, the one factorization and the size limits.
 
 ``characters`` builds chi tables from chi at primes and ``sieve`` imports
 ``characters``, so the sieve of Eratosthenes lives here, where both can import
 it without a cycle.  ``sieve.primes_upto`` and ``siegelscan.primes_upto`` are
 this same function.  ``factorize`` serves the squarefree test of
 ``characters.is_fundamental`` and the divisor enumeration of ``sieve``.
+
+DEFAULT_MAX_WIDTH caps arrays sized by an argument (sieve segments, chi
+periods, tau weights), RANGE_LIMIT the integers sieved or factorized.
 """
 
 from __future__ import annotations
@@ -15,7 +18,13 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["primes_upto", "factorize"]
+__all__ = ["DEFAULT_MAX_WIDTH", "RANGE_LIMIT", "primes_upto", "factorize"]
+
+# Default cap on a single array: 2^26 entries (~1 GB transient while building
+# a sieve segment).  Desk-scale work tops out at 1e7.
+DEFAULT_MAX_WIDTH = 1 << 26
+
+RANGE_LIMIT = 1 << 40
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -31,9 +40,9 @@ def primes_upto(n: int) -> np.ndarray:
 
 
 def factorize(m: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division; fine for m <= 2^40."""
-    if m < 1:
-        raise DomainError("factorization needs m >= 1")
+    """Prime factorization by trial division, for 1 <= m <= RANGE_LIMIT = 2^40."""
+    if not 1 <= m <= RANGE_LIMIT:
+        raise DomainError(f"factorization needs 1 <= m <= 2^40, got {m}")
     fac = []
     d = 2
     while d * d <= m:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .characters import FundamentalDiscriminant, chi_period, chi_values_up_to
 from .errors import CapacityError, DomainError
-from .primes import factorize, primes_upto
+from .primes import DEFAULT_MAX_WIDTH, RANGE_LIMIT, factorize, primes_upto
 
 __all__ = [
     "SieveTable",
@@ -35,7 +35,6 @@ __all__ = [
     "build_sieve",
     "shared_sieve",
     "liouville_table",
-    "arith_values",
     "divisor_lambda_sum",
     "rho_u",
     "tau_chi",
@@ -43,12 +42,6 @@ __all__ = [
     "tau_chi_table",
     "psi_u",
 ]
-
-# Default cap on a single segment: 2^26 entries (~1 GB transient while
-# building).  Desk-scale work tops out at 1e7.
-DEFAULT_MAX_WIDTH = 1 << 26
-
-RANGE_LIMIT = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -144,11 +137,6 @@ def liouville_table(x: int) -> np.ndarray:
     out = np.zeros(x + 1, dtype=np.int8)
     out[1:] = t.lambda_sign
     return out
-
-
-def arith_values(table: SieveTable, n: int) -> tuple[int, int, float]:
-    """(Omega(n), lambda(n), Lambda(n)) for n in the table's range."""
-    return table.omega_of(n), table.liouville(n), table.von_mangoldt(n)
 
 
 def _divisors_with_parity(m: int) -> Iterator[tuple[int, int]]:

@@ -664,9 +664,7 @@ def verify_theta_decomposition(
     theta, _ = theta_and_s(f, cutoff)
     _, s_full = theta_and_s(f, x)
     g = MultiplicativeFunc(
-        name=f"smoothed[{f.name}]",
-        prime_power=lambda p, k: 1.0 if p <= cutoff else f.at(p) ** k,
-        completely_multiplicative=True,
+        f"smoothed[{f.name}]", lambda p: 1.0 if p <= cutoff else f.at(p)
     )
     gv = values_up_to(g, X)
     rhs = theta * float(np.sum(gv[1:])) / x
@@ -704,22 +702,23 @@ def verify_lambda_chi_mean(
     return _measured("lambda_chi_mean", params, lhs, rhs, env, c_max)
 
 
+# The constant c of the prime-number-theorem term x exp(-c sqrt(log x)).
+_PNT_C = 0.1
+
+
 def verify_psi_chi(
     D: FundamentalDiscriminant,
     x: float,
     *,
-    pnt_c: float = 0.1,
     trunc: float = 1e7,
 ) -> IdentityReport:
     """Diagnostic: sum_{n<=x} Lambda(n) chi(n) against -x.
 
     Envelope (L(1,chi) + q^{-1/4}) x log^2 x + x exp(-c sqrt(log x)) + q with
-    a configurable c > 0.  At desk scale the envelope dominates the main
-    term, so this asserts residual <= envelope and records the ratio.
+    c = _PNT_C.  At desk scale the envelope dominates the main term, so this
+    asserts residual <= envelope and records the ratio.
     """
     q = D.q
-    if pnt_c <= 0:
-        raise DomainError("c must be positive")
     if not q <= x:
         raise DomainError("need q <= x")
     X = math.floor(x)
@@ -732,10 +731,10 @@ def verify_psi_chi(
     l1 = l_one(D, trunc)
     env = (
         (l1.value + l1.bound + q**-0.25) * x * math.log(x) ** 2
-        + x * math.exp(-pnt_c * math.sqrt(math.log(x)))
+        + x * math.exp(-_PNT_C * math.sqrt(math.log(x)))
         + q
     )
-    params = {"d": D.d, "x": x, "c": pnt_c, "diagnostic": True}
+    params = {"d": D.d, "x": x, "c": _PNT_C, "diagnostic": True}
     return _measured("psi_chi", params, lhs, rhs, env, c_max=1.0)
 
 
@@ -938,7 +937,6 @@ def run_suite(
     *,
     seed: int = DEFAULT_SEED,
     c_max: float = 100.0,
-    pnt_c: float = 0.1,
     jobs: int = 1,
     two_var_cases: int = 200,
     swap_cases: int = 500,
@@ -1001,7 +999,7 @@ def run_suite(
         for d, y in TAU_PROPS_GRID:
             reports.append(verify_tau_props(FundamentalDiscriminant(d), y))
         for d, x in PSI_CHI_GRID:
-            reports.append(verify_psi_chi(FundamentalDiscriminant(d), x, pnt_c=pnt_c))
+            reports.append(verify_psi_chi(FundamentalDiscriminant(d), x))
         for d, x in LAMBDA_CHI_MEAN_GRID:
             reports.append(
                 verify_lambda_chi_mean(FundamentalDiscriminant(d), x, c_max=c_max)

@@ -11,6 +11,7 @@ from sympy import factorint
 from sympy.functions.combinatorial.numbers import kronecker_symbol as sympy_kronecker
 
 from siegelscan import (
+    CapacityError,
     DomainError,
     FundamentalDiscriminant,
     char_partial_sum,
@@ -75,6 +76,9 @@ def test_constructor_rejects_non_fundamental():
         FundamentalDiscriminant(9)
     with pytest.raises(DomainError):
         FundamentalDiscriminant(1)
+    # 1 (mod 4) and squarefree, but beyond the range of factorization
+    with pytest.raises(DomainError):
+        FundamentalDiscriminant(-(2**41) - 3)
     assert FundamentalDiscriminant(-4).q == 4
     assert FundamentalDiscriminant(5).q == 5
 
@@ -169,6 +173,22 @@ def test_chi_values_up_to_tiles_the_period(d):
 def test_full_period_sums_to_zero():
     for D in enumerate_fundamentals(-100, 100):
         assert int(np.sum(chi_period(D).astype(np.int64))) == 0, D.d
+
+
+def test_chi_period_beyond_capacity(monkeypatch):
+    # the guard fires before the period is built: listing the primes fails
+    from siegelscan import characters
+
+    def no_primes(n):
+        raise AssertionError("the chi period was built")
+
+    monkeypatch.setattr(characters, "primes_upto", no_primes)
+    D = FundamentalDiscriminant(67108865)  # 2^26 + 1, one above the budget
+    assert D.q == characters.DEFAULT_MAX_WIDTH + 1
+    with pytest.raises(CapacityError):
+        chi_period(D)
+    with pytest.raises(CapacityError):
+        chi_values_up_to(D, 10)
 
 
 def test_char_partial_sum_matches_cumsum():

@@ -172,6 +172,34 @@ def test_tau_beyond_capacity_exits_one(capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+def test_chi_table_beyond_capacity_exits_one(capsys, monkeypatch):
+    # |d| = 2^26 + 1: the guard fires before the period is built
+    def no_primes(n):
+        raise AssertionError("the chi period was built")
+
+    monkeypatch.setattr("siegelscan.characters.primes_upto", no_primes)
+    assert main(["lvalues", "--d", "67108865", "--x", "1e8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+
+
+def test_huge_discriminant_exits_two_quickly():
+    # -(2^61 - 1) lies beyond factorization's range; it must not hang
+    pkg_home = pathlib.Path(siegelscan.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "siegelscan", "lvalues",
+         "--d", str(-(2**61 - 1)), "--method", "class-number"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(pkg_home)},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
 CONSOLE_ARGV = ["lvalues", "--d", "-3", "--x", "1e4"]
 
 

@@ -14,12 +14,12 @@ from siegelscan import (
     DomainError,
     FundamentalDiscriminant,
     MultiplicativeFunc,
+    chi_eval,
     chi_values_up_to,
     class_number_oracle,
     coprime_zeta2_partial,
     enumerate_fundamentals,
     epsilon_functional,
-    error_functionals,
     euler_p_ratio,
     l_one,
     l_one_prime_direct,
@@ -37,7 +37,7 @@ from siegelscan import (
     values_up_to,
 )
 from siegelscan import lseries
-from siegelscan.sieve import DEFAULT_MAX_WIDTH
+from siegelscan.primes import DEFAULT_MAX_WIDTH, factorize
 from siegelscan.verify import _coprime_zeta2_exact
 
 KNOWN_CLASS_NUMBERS = {
@@ -134,8 +134,6 @@ def test_l_value_domain_errors():
         l_one(D, 100)  # x < q
     with pytest.raises(DomainError):
         l_one_prime_direct(D, 10**8)  # beyond the literal-summation limit
-    with pytest.raises(DomainError):
-        l_one_prime_tau(D, 10**6, c_cal=0.0)
     for fn in (l_one, l_one_prime_direct, l_one_prime_tau):
         for x in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
@@ -221,13 +219,10 @@ def test_error_functional_domains():
         mean_variation_bound(10**6, 0.5)
     with pytest.raises(DomainError):
         mean_variation_bound(10**6, 501.0)  # omega <= sqrt(x)/2 fails
-    both = error_functionals(10**6, 100.0, 10.0)
-    assert both.epsilon == epsilon_functional(10**6, 100.0)
-    assert both.m_bound == mean_variation_bound(10**6, 10.0)
 
 
 def test_multiplicative_contract():
-    bad = MultiplicativeFunc("too-big", lambda p, k: 1.5)
+    bad = MultiplicativeFunc("too-big", lambda p: 1.5)
     with pytest.raises(ContractError):
         bad.at(2)
     with pytest.raises(DomainError):
@@ -240,17 +235,30 @@ def test_values_up_to_liouville_matches_table():
     assert np.array_equal(vals, lam.astype(np.float64))
 
 
-def test_values_up_to_generic_path_matches_cm_path():
-    cm = mf_liouville()
-    generic = MultiplicativeFunc("liouville-generic", cm.prime_power)
-    assert np.array_equal(values_up_to(cm, 3000), values_up_to(generic, 3000))
+@pytest.mark.parametrize("d", [-4, -3, 5, -8, 12])
+def test_values_up_to_equals_product_over_factorization(d):
+    # f(n) = prod f(p)^e over n = prod p^e, with f(p) from each definition
+    D = FundamentalDiscriminant(d)
+    cases = [
+        (mf_one(), lambda p: 1),
+        (mf_liouville(), lambda p: -1),
+        (mf_liouville_times_chi(D), lambda p: -chi_eval(D, p)),
+        (mf_char_flip_cutoff(D), lambda p: -chi_eval(D, p) if p <= D.q else 1),
+    ]
+    for f, f_at_prime in cases:
+        vals = values_up_to(f, 3000)
+        assert vals[0] == 0.0
+        for n in range(1, 3001):
+            want = 1
+            for p, e in factorize(n):
+                want *= f_at_prime(p) ** e
+            assert vals[n] == want, (f.name, n)
 
 
 def test_values_up_to_liouville_chi_pointwise():
     D = FundamentalDiscriminant(-4)
     vals = values_up_to(mf_liouville_times_chi(D), 500)
     lam = liouville_table(500)
-    from siegelscan import chi_eval
 
     for n in range(1, 501):
         assert vals[n] == int(lam[n]) * chi_eval(D, n), n
@@ -264,15 +272,6 @@ def test_theta_and_s_points():
     want = (1 / 3) * (1 / 2) * (2 / 3) * (3 / 4)
     assert abs(theta - want) < 1e-12
     assert abs(s - 2 * (1 / 2 + 1 / 3 + 1 / 5 + 1 / 7)) < 1e-12
-
-
-def test_theta_generic_matches_closed_form():
-    cm = mf_liouville()
-    generic = MultiplicativeFunc("liouville-generic", cm.prime_power)
-    t1, s1 = theta_and_s(cm, 100)
-    t2, s2 = theta_and_s(generic, 100)
-    assert abs(t1 - t2) < 1e-9
-    assert s1 == s2
 
 
 def test_theta_of_flip_cutoff_equals_euler_ratio():

@@ -45,6 +45,19 @@ def test_one_prime_sieve():
     assert characters.primes_upto is primes.primes_upto
 
 
+def test_size_limits_and_factorize_range():
+    from siegelscan import primes, sieve
+
+    assert sieve.DEFAULT_MAX_WIDTH is primes.DEFAULT_MAX_WIDTH
+    assert sieve.RANGE_LIMIT is primes.RANGE_LIMIT
+    # trial division is refused outside [1, 2^40] instead of running for hours
+    assert primes.factorize(1) == []
+    assert primes.factorize(primes.RANGE_LIMIT) == [(2, 40)]
+    for m in (0, -7, primes.RANGE_LIMIT + 1):
+        with pytest.raises(DomainError):
+            primes.factorize(m)
+
+
 def test_primes_upto_frozen():
     assert primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_upto(1).size == 0
