@@ -122,14 +122,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_lvalues(args: argparse.Namespace) -> int:
     D = FundamentalDiscriminant(args.d)
-    if args.x < D.q:
-        raise DomainError("truncation x must be >= |d|")
-    if args.method == "direct":
-        est = l_one(D, args.x)
-    elif args.method == "tau":
-        est = l_one_prime_tau(D, args.x)
+    if args.method == "class-number":
+        est = class_number_oracle(D)  # exact: --x does not apply
     else:
-        est = class_number_oracle(D)
+        if args.x < D.q:
+            raise DomainError("truncation x must be >= |d|")
+        est = l_one(D, args.x) if args.method == "direct" else l_one_prime_tau(D, args.x)
     obj = {
         "d": D.d,
         "q": D.q,

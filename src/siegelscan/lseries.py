@@ -28,6 +28,16 @@ whose product collapses to zeta(2) prod_{p|q} (1 - 1/p^2) exactly, the class
 number formula oracle for d < 0, and the two error functionals eps(x, u) and
 M(x, omega) that appear in measured envelopes.
 
+Both products are sums of logs over the primes p <= q.  The logs
+log1p(-1/p) and log1p(1/p) do not depend on d: _prime_logs caches them with
+the primes, keyed by the next power of two >= q.  Each product takes chi at the primes
+from chi_period, picks one term per prime by chi(p) in {-1, 0, 1}, and adds
+the terms with np.cumsum, strictly from p = 2 upwards.  The logs come from
+math.log1p and the order is that of a loop over the primes, so the values
+equal such a loop bit for bit; np.log1p and the pairwise np.sum would each
+change the last bits.  The class number oracle counts reduced forms with
+one numpy pass over b for each leading coefficient a.
+
 Multiplicative functions are completely multiplicative and given by f(p)
 alone; values_up_to and theta_and_s evaluate them.
 """
@@ -257,8 +267,9 @@ def class_number_oracle(D: FundamentalDiscriminant) -> LValueEstimate:
 
     h(d) is counted by enumerating reduced integral binary quadratic forms
     (a, b, c) of discriminant d: b^2 - 4ac = d with -a < b <= a <= c and
-    b >= 0 whenever a = c.  Then L(1, chi) = 2 pi h / (w sqrt(q)) where the
-    unit count w is 6 for d = -3, 4 for d = -4, and 2 otherwise.
+    b >= 0 whenever a = c, one numpy pass over b for each a <= sqrt(q/3).
+    Then L(1, chi) = 2 pi h / (w sqrt(q)) where the unit count w is 6 for
+    d = -3, 4 for d = -4, and 2 otherwise.
     """
     d = D.d
     if d >= 0:
@@ -268,30 +279,55 @@ def class_number_oracle(D: FundamentalDiscriminant) -> LValueEstimate:
         raise DomainError("class number oracle limited to |d| <= 1e6")
     h = 0
     for a in range(1, math.isqrt(q // 3) + 1):
-        for b in range(-a + 1, a + 1):
-            num = b * b - d
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if a == c and b < 0:
-                continue
-            h += 1
+        b = np.arange(-a + 1, a + 1, dtype=np.int64)
+        c, r = np.divmod(b * b - d, 4 * a)
+        h += int(np.count_nonzero((r == 0) & (c >= a) & ((c > a) | (b >= 0))))
     w = 6 if d == -3 else 4 if d == -4 else 2
     value = 2.0 * math.pi * h / (w * math.sqrt(q))
     return LValueEstimate(value=value, truncation=math.inf, bound=0.0, method="class-number")
 
 
-def euler_p_ratio(D: FundamentalDiscriminant) -> float:
-    """P(q) = prod_{p<=q} (1 - 1/p)(1 + chi(p)/p)^{-1}, accumulated in logs."""
+@lru_cache(maxsize=2)
+def _prime_logs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(primes p <= n, log1p(-1/p), log1p(1/p)) as int64 and float64 arrays.
+
+    The per-prime table of the Euler products; it does not depend on d.  The
+    callers key it by the next power of two >= q, so that nearby q share one
+    entry, and slice the prefix p <= q.  The logs come from math.log1p, as
+    in a loop over the primes: np.log1p differs from it in the last bit for
+    17 of the 1229 primes below 1e4.
+    """
+    ps = primes_upto(n)
+    plist = ps.tolist()
+    lm = np.array([math.log1p(-1.0 / p) for p in plist], dtype=np.float64)
+    lp = np.array([math.log1p(1.0 / p) for p in plist], dtype=np.float64)
+    return ps, lm, lp
+
+
+def _chi_at_primes(D: FundamentalDiscriminant) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(chi(p), log1p(-1/p), log1p(1/p)) over the primes p <= q.
+
+    chi_period comes first, so that a q beyond its capacity raises
+    CapacityError before the table is sieved.
+    """
     per = chi_period(D)
     q = D.q
-    acc = 0.0
-    for p in primes_upto(q):
-        p = int(p)
-        acc += math.log1p(-1.0 / p) - math.log1p(int(per[p % q]) / p)
-    return math.exp(acc)
+    ps, lm, lp = _prime_logs(1 << (q - 1).bit_length())
+    k = int(np.searchsorted(ps, q, side="right"))
+    return per[ps[:k] % q], lm[:k], lp[:k]
+
+
+def euler_p_ratio(D: FundamentalDiscriminant) -> float:
+    """P(q) = prod_{p<=q} (1 - 1/p)(1 + chi(p)/p)^{-1}, accumulated in logs.
+
+    The log of the factor at p is log1p(-1/p) - log1p(chi(p)/p), taken from
+    the cached table of _prime_logs by chi(p) in {-1, 0, 1}.  np.cumsum adds
+    the terms strictly from p = 2 upwards, as a loop over the primes would
+    (np.sum adds pairwise and would change the last bits).
+    """
+    chi, lm, lp = _chi_at_primes(D)
+    terms = np.where(chi == 1, lm - lp, np.where(chi == 0, lm, 0.0))
+    return math.exp(float(np.cumsum(terms)[-1]))
 
 
 def main_term_product(D: FundamentalDiscriminant) -> float:
@@ -299,19 +335,15 @@ def main_term_product(D: FundamentalDiscriminant) -> float:
 
     The product prediction for L'(1, chi) in the tiny-L(1) regime; kept in
     log space so that main_term_product(D) * euler_p_ratio(D) matches
-    zeta(2) prod_{p|q} (1 - 1/p^2) to rounding.
+    zeta(2) prod_{p|q} (1 - 1/p^2) to rounding.  chi(p) = 0 exactly when
+    p | q, so the log of the factor at p is log1p(1/p) - log1p(-1/p) for
+    chi(p) = 1, log1p(1/p) for chi(p) = 0 and 0 for chi(p) = -1, from the
+    table of _prime_logs, summed from p = 2 upwards by np.cumsum as in
+    euler_p_ratio.
     """
-    per = chi_period(D)
-    q = D.q
-    acc = 0.0
-    for p in primes_upto(q):
-        p = int(p)
-        v = int(per[p % q])
-        if v == 0 and q % p == 0:
-            acc += math.log1p(1.0 / p)
-        elif v == 1:
-            acc += math.log1p(1.0 / p) - math.log1p(-1.0 / p)
-    return (math.pi**2 / 6.0) * math.exp(acc)
+    chi, lm, lp = _chi_at_primes(D)
+    terms = np.where(chi == 1, lp - lm, np.where(chi == 0, lp, 0.0))
+    return (math.pi**2 / 6.0) * math.exp(float(np.cumsum(terms)[-1]))
 
 
 def coprime_zeta2_partial(q: int, K: int) -> float:

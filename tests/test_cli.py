@@ -93,6 +93,28 @@ def test_lvalues_class_number_json():
     assert obj["truncation"] == math.inf or obj["truncation"] is None
 
 
+def test_lvalues_class_number_ignores_x():
+    # the oracle is exact, so a truncation below |d| does not apply to it
+    code, text = run_main("lvalues", "--d", "-7", "--x", "3", "--method", "class-number")
+    assert code == 0
+    obj = json.loads(text)
+    assert obj["method"] == "class-number"
+    assert abs(obj["value"] - math.pi / math.sqrt(7)) < 1e-12  # h(-7) = 1, w = 2
+
+
+@pytest.mark.parametrize("method", ["direct", "tau"])
+def test_lvalues_series_x_below_q_exits_two(method, capsys):
+    assert main(["lvalues", "--d", "-7", "--x", "3", "--method", method]) == 2
+    assert "truncation x must be >= |d|" in capsys.readouterr().err
+
+
+def test_lvalues_class_number_beyond_oracle_limit_exits_two(capsys):
+    assert main(["lvalues", "--d", "-1000003", "--method", "class-number"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "class number oracle limited to |d| <= 1e6" in captured.err
+
+
 def test_lvalues_tau_json():
     code, text = run_main("lvalues", "--d", "5", "--method", "tau", "--x", "1e5")
     assert code == 0

@@ -15,6 +15,7 @@ from siegelscan import (
     FundamentalDiscriminant,
     MultiplicativeFunc,
     chi_eval,
+    chi_period,
     chi_values_up_to,
     class_number_oracle,
     coprime_zeta2_partial,
@@ -31,6 +32,7 @@ from siegelscan import (
     mf_liouville,
     mf_liouville_times_chi,
     mf_one,
+    primes_upto,
     tau_chi,
     tau_over_n_sum,
     theta_and_s,
@@ -61,6 +63,32 @@ def test_class_numbers_known_table():
 def test_class_number_rejects_positive_d():
     with pytest.raises(DomainError):
         class_number_oracle(FundamentalDiscriminant(5))
+
+
+def brute_force_h(d):
+    """Reduced forms (a, b, c) of discriminant d < 0, one (a, b) pair at a time.
+
+    -a < b <= a <= c with b >= 0 whenever a = c; c = (b^2 - d) / (4a).
+    """
+    h = 0
+    for a in range(1, math.isqrt(-d // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            num = b * b - d
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a or (a == c and b < 0):
+                continue
+            h += 1
+    return h
+
+
+def test_class_number_oracle_matches_brute_force():
+    for d, h in KNOWN_CLASS_NUMBERS.items():
+        assert brute_force_h(d) == h, d
+    for D in enumerate_fundamentals(-3000, -3):
+        got = oracle_h(D)
+        assert abs(got - brute_force_h(D.d)) < 1e-9, D.d
 
 
 def test_l_one_closed_forms():
@@ -156,6 +184,63 @@ def test_product_identity():
         D = FundamentalDiscriminant(d)
         lhs = main_term_product(D) * euler_p_ratio(D)
         assert abs(lhs - _coprime_zeta2_exact(D.q)) < 1e-12, d
+
+
+# ---------------------------------------- Euler products, per-prime loops
+
+
+def loop_euler_p_ratio(D):
+    """P(q) as a loop over the primes p <= q, adding one log per prime."""
+    per = chi_period(D)
+    q = D.q
+    acc = 0.0
+    for p in primes_upto(q).tolist():
+        acc += math.log1p(-1.0 / p) - math.log1p(int(per[p % q]) / p)
+    return math.exp(acc)
+
+
+def loop_main_term_product(D):
+    """The main-term product as a loop over the primes p <= q."""
+    per = chi_period(D)
+    q = D.q
+    acc = 0.0
+    for p in primes_upto(q).tolist():
+        v = int(per[p % q])
+        if v == 0 and q % p == 0:
+            acc += math.log1p(1.0 / p)
+        elif v == 1:
+            acc += math.log1p(1.0 / p) - math.log1p(-1.0 / p)
+    return (math.pi**2 / 6.0) * math.exp(acc)
+
+
+def fundamentals_with_q_in(lo, hi):
+    return list(enumerate_fundamentals(-hi, -lo)) + list(enumerate_fundamentals(lo, hi))
+
+
+def assert_products_equal_loops(Ds):
+    for D in Ds:
+        assert euler_p_ratio(D) == loop_euler_p_ratio(D), D.d
+        assert main_term_product(D) == loop_main_term_product(D), D.d
+
+
+def test_euler_products_equal_loops_small_q():
+    assert_products_equal_loops(enumerate_fundamentals(-2000, 2000))
+
+
+@pytest.mark.parametrize("lo, hi", [(65530, 65545), (131065, 131080)])
+def test_euler_products_equal_loops_across_power_of_two(lo, hi):
+    # the per-prime table is keyed by the next power of two >= q, so these
+    # q read the prefixes of two different tables
+    Ds = fundamentals_with_q_in(lo, hi)
+    qs = {D.q for D in Ds}
+    assert min(qs) < (lo + hi) // 2 < max(qs)
+    assert_products_equal_loops(Ds)
+
+
+def test_euler_products_equal_loops_near_2e5():
+    Ds = fundamentals_with_q_in(199990, 200010)
+    assert len(Ds) >= 4
+    assert_products_equal_loops(Ds[:2] + Ds[-2:])
 
 
 def test_coprime_zeta2_partial():
