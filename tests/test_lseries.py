@@ -227,13 +227,12 @@ def test_euler_products_equal_loops_small_q():
     assert_products_equal_loops(enumerate_fundamentals(-2000, 2000))
 
 
-@pytest.mark.parametrize("lo, hi", [(65530, 65545), (131065, 131080)])
-def test_euler_products_equal_loops_across_power_of_two(lo, hi):
-    # the per-prime table is keyed by the next power of two >= q, so these
-    # q read the prefixes of two different tables
-    Ds = fundamentals_with_q_in(lo, hi)
-    qs = {D.q for D in Ds}
-    assert min(qs) < (lo + hi) // 2 < max(qs)
+@pytest.mark.parametrize("power", [2**16, 2**17])
+def test_euler_products_equal_loops_across_power_of_two(power):
+    # the per-prime table is keyed by the next power of two >= q, so the q
+    # on either side of the power read the prefixes of two different tables
+    Ds = fundamentals_with_q_in(power - 7, power + 9)
+    assert min(D.q for D in Ds) < power < max(D.q for D in Ds)
     assert_products_equal_loops(Ds)
 
 
