@@ -8,8 +8,14 @@ chi(-1) = sign(d), and its Gauss sum tau(chi) = sum_{a=1}^{q} chi(a) e(a/q)
 has |tau(chi)|^2 = q, with tau purely real for d > 0 and purely imaginary for
 d < 0.  Here e(t) = exp(2*pi*i*t).
 
-One int8 period of chi is cached per d.  CapacityError guards a period longer
-than primes.DEFAULT_MAX_WIDTH, DomainError a |d| beyond primes.RANGE_LIMIT.
+One period of chi is built from the factorization of d into prime
+discriminants: a period-4 or period-8 table for the 2-adic factor (-4, 8 or
+-8), read off kronecker_symbol, times one Legendre table (n|p) for each odd
+prime p | d, which by quadratic reciprocity is the character of p* = +-p = 1
+(mod 4) (Cohen, A Course in Computational Algebraic Number Theory, 5.1-5.2;
+Davenport, Multiplicative Number Theory, ch. 5).  The last 32 int8 periods
+are cached.  CapacityError guards a period longer than
+primes.DEFAULT_MAX_WIDTH, DomainError a |d| beyond primes.RANGE_LIMIT.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .primes import DEFAULT_MAX_WIDTH, factorize, primes_upto
+from .primes import DEFAULT_MAX_WIDTH, factorize
 
 __all__ = [
     "FundamentalDiscriminant",
@@ -115,28 +121,42 @@ def chi_eval(D: FundamentalDiscriminant, n: int) -> int:
     return kronecker_symbol(D.d, n)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=32)
 def _period(d: int) -> np.ndarray:
     """One period of chi as an int8 array indexed by n mod q.
 
-    chi(r) for 1 <= r < q is assembled multiplicatively from chi at primes:
-    chi(p^k) = chi(p)^k, so one pass of slice multiplications over prime
-    powers < q fills the period; primes with chi(p) = 1 need no pass.
-    q above DEFAULT_MAX_WIDTH raises CapacityError before allocating.
+    chi is the product of the characters of the prime discriminants that
+    divide d.  For even q, write q = w*m with w = 8 if 8 | q, else 4, and m
+    odd; d = d2*d_odd with d_odd = +-m = 1 (mod 4) and d2 in {-4, 8, -8}.
+    The 2-adic factor (d2|n) has period w and is read off kronecker_symbol.
+    Since d_odd = 1 (mod 4), reciprocity gives (d_odd|n) = (n|m) for n >= 1,
+    the product of the Legendre symbols (n|p) over the primes p | m.  Each
+    Legendre table marks the squares of 1..(p-1)/2 mod p, which are all the
+    nonzero residues, squared in place so that they take 4 bytes per entry
+    of q.  Every factor is tiled to length q and multiplied in (Cohen,
+    A Course in Computational Algebraic Number Theory, 5.1-5.2; Davenport,
+    Multiplicative Number Theory, ch. 5).
+    q above DEFAULT_MAX_WIDTH raises CapacityError before any work.
     """
     q = abs(d)
     if q > DEFAULT_MAX_WIDTH:
         raise CapacityError(f"chi period length {q} exceeds budget {DEFAULT_MAX_WIDTH}")
+    m = q
     vals = np.ones(q, dtype=np.int8)
-    vals[0] = 0
-    for p in primes_upto(q - 1).tolist():
-        v = kronecker_symbol(d, p)
-        if v == 1:
-            continue
-        pk = p
-        while pk < q:
-            vals[pk::pk] *= v
-            pk *= p
+    if q % 2 == 0:
+        w = 8 if q % 8 == 0 else 4
+        m = q // w
+        d_odd = m if m % 4 == 1 else -m
+        two = [kronecker_symbol(d // d_odd, r) for r in range(w)]
+        vals = np.tile(np.array(two, dtype=np.int8), m)
+    for p, _ in factorize(m):
+        leg = np.full(p, -1, dtype=np.int8)
+        r = np.arange(1, (p + 1) // 2)
+        r *= r
+        r %= p
+        leg[r] = 1
+        leg[0] = 0
+        vals *= np.tile(leg, q // p)
     return vals
 
 

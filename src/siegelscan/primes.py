@@ -1,10 +1,11 @@
 """The one prime sieve, the one factorization and the size limits.
 
-``characters`` builds chi tables from chi at primes and ``sieve`` imports
-``characters``, so the sieve of Eratosthenes lives here, where both can import
-it without a cycle.  ``sieve.primes_upto`` and ``siegelscan.primes_upto`` are
-this same function.  ``factorize`` serves the squarefree test of
-``characters.is_fundamental`` and the divisor enumeration of ``sieve``.
+``characters`` builds chi tables from the factorization of d and ``sieve``
+imports ``characters``, so the factorization lives here, where both can import
+it without a cycle, next to the sieve of Eratosthenes.  ``sieve.primes_upto``
+and ``siegelscan.primes_upto`` are this same function.  ``factorize`` serves
+the squarefree test of ``characters.is_fundamental``, the chi tables of
+``characters`` and the divisor enumeration of ``sieve``.
 
 DEFAULT_MAX_WIDTH caps arrays sized by an argument (sieve segments, chi
 periods, tau weights), RANGE_LIMIT the integers sieved or factorized.

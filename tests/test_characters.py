@@ -23,6 +23,7 @@ from siegelscan import (
     gauss_sum,
     is_fundamental,
     kronecker_symbol,
+    primes_upto,
 )
 
 # hand-enumerated: every fundamental discriminant in [-50, -1]
@@ -89,6 +90,15 @@ def test_kronecker_against_sympy():
     pairs += [(rng.randint(-10**6, 10**6), rng.randint(-10**4, 10**4)) for _ in range(400)]
     for a, n in pairs:
         assert kronecker_symbol(a, n) == int(sympy_kronecker(a, n)), (a, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-10**6, 10**6),
+    st.one_of(st.integers(-10**4, 10**4), st.integers(-5000, 5000).map(lambda k: 2 * k)),
+)
+def test_kronecker_matches_sympy_hypothesis(a, n):
+    assert kronecker_symbol(a, n) == int(sympy_kronecker(a, n)), (a, n)
 
 
 def test_kronecker_points():
@@ -176,19 +186,27 @@ def test_full_period_sums_to_zero():
 
 
 def test_chi_period_beyond_capacity(monkeypatch):
-    # the guard fires before the period is built: listing the primes fails
+    # the guard fires before the period is built: factorizing q fails
     from siegelscan import characters
 
-    def no_primes(n):
+    def no_factorize(m):
         raise AssertionError("the chi period was built")
 
-    monkeypatch.setattr(characters, "primes_upto", no_primes)
     D = FundamentalDiscriminant(67108865)  # 2^26 + 1, one above the budget
     assert D.q == characters.DEFAULT_MAX_WIDTH + 1
+    monkeypatch.setattr(characters, "factorize", no_factorize)
     with pytest.raises(CapacityError):
         chi_period(D)
     with pytest.raises(CapacityError):
         chi_values_up_to(D, 10)
+
+
+def test_chi_cache_is_bounded():
+    from siegelscan import characters
+
+    for D in enumerate_fundamentals(-200, -1)[:40]:
+        chi_period(D)
+    assert characters._period.cache_info().currsize <= 32
 
 
 def test_char_partial_sum_matches_cumsum():
@@ -260,3 +278,47 @@ def test_chi_period_matches_kronecker(d):
     table = chi_period(FundamentalDiscriminant(d))
     assert table.dtype == np.int8 and table.shape == (q,)
     assert table.tolist() == [kronecker_symbol(d, n) for n in range(q)]
+
+
+def per_prime_period(d):
+    # the earlier builder, kept as the reference: chi(p^k) = chi(p)^k, one
+    # slice pass per prime power below q, chi(p) from kronecker_symbol
+    q = abs(d)
+    vals = np.ones(q, dtype=np.int8)
+    vals[0] = 0
+    for p in primes_upto(q - 1).tolist():
+        v = kronecker_symbol(d, p)
+        if v == 1:
+            continue
+        pk = p
+        while pk < q:
+            vals[pk::pk] *= v
+            pk *= p
+    return vals
+
+
+def two_adic_type(d):
+    # d2 in d = d2 * d_odd with d_odd odd and 1 (mod 4); 1 for odd d
+    if d % 2:
+        return 1
+    d_odd = abs(d) // (8 if d % 8 == 0 else 4)
+    return d // (d_odd if d_odd % 4 == 1 else -d_odd)
+
+
+def test_chi_period_equals_per_prime_builder():
+    ds = [D.d for D in enumerate_fundamentals(-3000, 3000)]
+    window = [
+        d
+        for q in range(2**16 - 40, 2**16 + 41)
+        for d in (-q, q)
+        if is_fundamental(d)
+    ]
+    assert {two_adic_type(d) for d in window} >= {-4, 8, -8}
+    ds += window
+    for centre, sign in ((200000, 1), (200000, -1), (1000000, -1)):
+        near = [sign * q for q in range(centre, centre + 100) if is_fundamental(sign * q)]
+        ds += near[:5]
+    for d in ds:
+        table = chi_period(FundamentalDiscriminant(d))
+        assert table.dtype == np.int8, d
+        assert np.array_equal(table, per_prime_period(d)), d

@@ -195,11 +195,20 @@ def test_tau_beyond_capacity_exits_one(capsys, monkeypatch):
 
 
 def test_chi_table_beyond_capacity_exits_one(capsys, monkeypatch):
-    # |d| = 2^26 + 1: the guard fires before the period is built
-    def no_primes(n):
-        raise AssertionError("the chi period was built")
+    # |d| = 2^26 + 1: the guard fires before the period is built.  The
+    # constructor's squarefree test factorizes |d| too, so only a call from
+    # the table builder fails.
+    from siegelscan import characters
 
-    monkeypatch.setattr("siegelscan.characters.primes_upto", no_primes)
+    factorize = characters.factorize
+    builder = characters._period.__wrapped__.__code__
+
+    def factorize_outside_builder(m):
+        if sys._getframe(1).f_code is builder:
+            raise AssertionError("the chi period was built")
+        return factorize(m)
+
+    monkeypatch.setattr(characters, "factorize", factorize_outside_builder)
     assert main(["lvalues", "--d", "67108865", "--x", "1e8"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
