@@ -115,6 +115,17 @@ def test_lvalues_class_number_beyond_oracle_limit_exits_two(capsys):
     assert "class number oracle limited to |d| <= 1e6" in captured.err
 
 
+@pytest.mark.parametrize("x", ["1e19", "1e30", "1e300"])
+@pytest.mark.parametrize("d", [-3, 5, 8])
+def test_lvalues_direct_at_huge_x(d, x):
+    # far beyond int64: the complete-period route's tail must not overflow
+    code, text = run_main("lvalues", "--d", str(d), "--x", x)
+    assert code == 0
+    obj = json.loads(text)
+    assert obj["d"] == d and obj["truncation"] == float(x)
+    assert math.isfinite(obj["value"]) and obj["value"] > 0
+
+
 def test_lvalues_tau_json():
     code, text = run_main("lvalues", "--d", "5", "--method", "tau", "--x", "1e5")
     assert code == 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma
 
 from siegelscan import (
     CapacityError,
@@ -471,3 +472,71 @@ def test_tau_over_n_sum_capacity_guard(monkeypatch):
         tau_over_n_sum(D, DEFAULT_MAX_WIDTH + 1)
     with pytest.raises(CapacityError):
         l_one_prime_tau(D, 1e9)
+
+
+# ------------------------------------------------ the complete-period route
+
+
+def period_sum_reference(D, x):
+    """sum_{n<=x} chi(n)/n by complete periods, over all q residues.
+
+    The formula the phi(q) route replaced: chi(1..q) gathered by an integer
+    modulo, digamma at every residue, and an int64 tail denominator.  The
+    route must equal it bit for bit.
+    """
+    per = chi_period(D)
+    q = D.q
+    K, R = divmod(x, q)
+    r = np.arange(1, q + 1, dtype=np.float64)
+    ch = per[np.arange(1, q + 1) % q].astype(np.float64)
+    main = float(np.sum(ch * (digamma(K + r / q) - digamma(r / q)))) / q
+    if R:
+        rr = np.arange(1, R + 1)
+        tail = float(np.sum(per[rr % q] / (K * q + rr)))
+    else:
+        tail = 0.0
+    return main + tail
+
+
+def assert_period_route_equals_reference(Ds, xs_of_q):
+    for D in Ds:
+        for x in xs_of_q(D.q):
+            assert lseries._chi_over_n_by_periods(D, x) == period_sum_reference(D, x), (D.d, x)
+
+
+def test_period_route_equals_reference_small_q():
+    # x = 7q + r covers an empty tail (r = 0), one term and q - 1 terms
+    assert_period_route_equals_reference(
+        enumerate_fundamentals(-2000, 2000),
+        lambda q: (q * q, 10**12, 7 * q, 7 * q + 1, 8 * q - 1),
+    )
+
+
+def test_period_route_equals_reference_large_q():
+    window = fundamentals_with_q_in(200001, 200030)
+    assert_period_route_equals_reference(window, lambda q: (250000**2,))
+    near_1e6 = []
+    for c in (-(10**6), 10**6):
+        near_1e6 += list(enumerate_fundamentals(c - 60, c - 1))[-5:]
+        near_1e6 += list(enumerate_fundamentals(c + 1, c + 60))[:5]
+    assert len(near_1e6) == 20
+    assert_period_route_equals_reference(near_1e6, lambda q: (4 * 10**12,))
+
+
+def test_l_one_takes_the_period_route_above_the_direct_limit():
+    D = FundamentalDiscriminant(-200003)
+    x = lseries._DIRECT_LIMIT + 1
+    assert l_one(D, x).value == period_sum_reference(D, x)
+
+
+@pytest.mark.parametrize("x", [1, 2, 4096, 100003])
+def test_weight_arrays_equal_plain_expressions(x):
+    # the cached weights are built in place; their values must not change
+    ns = np.arange(1, x + 1, dtype=np.float64)
+    inv = 1.0 / ns
+    h = np.zeros(x + 1, dtype=np.float64)
+    np.cumsum(inv, out=h[1:])
+    floors = x // np.arange(1, x + 1, dtype=np.int64)
+    assert np.array_equal(lseries._inv_n(x), inv)
+    assert np.array_equal(lseries._log_over_n(x), np.log(ns) / ns)
+    assert np.array_equal(lseries._tau_weights(x), inv * h[floors])

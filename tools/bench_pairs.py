@@ -19,6 +19,8 @@ change/parent ratio of the medians, whether the change's median is worse than
 the parent's by more than the benchmark's bound, whether a gain could be
 claimed (at least 9 wins in 10 and a median gap above the parent's
 interquartile range), the failure counts and the stamp line of each side.
+After the last pair one line per workload in --out and metric is printed:
+the parent and change medians, the wins, and both verdicts.
 """
 
 from __future__ import annotations
@@ -78,6 +80,21 @@ def compare(spec: dict, runs: dict) -> dict:
     return out
 
 
+def format_summary(report: dict) -> list[str]:
+    """One line per workload and end-to-end metric of a BENCH report."""
+    lines = []
+    for workload, entry in report["workloads"].items():
+        for name, m in entry["metrics"].items():
+            lines.append(
+                f"{workload} {name}: {m['parent']['median']:.4g} -> "
+                f"{m['change']['median']:.4g} {m['unit']}, "
+                f"wins {m['change_wins']}/{m['pairs']}, "
+                f"gain_claimable {str(m['gain_claimable']).lower()}, "
+                f"worse_than_bound {str(m['worse_than_bound']).lower()}"
+            )
+    return lines
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True)
@@ -123,6 +140,7 @@ def main() -> int:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=1)
             fh.write("\n")
+    print("\n".join(format_summary(report)))
     return 0
 
 
