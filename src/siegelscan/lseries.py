@@ -25,8 +25,13 @@ sums of the 20 discriminants near |d| = 2e5 at x = 2.5e5^2 from 105 to
 
 All three length-x sums have the form sum_{n<=x} chi(n) w(n) with weights
 (1/n, log(n)/n, H(floor(x/n))/n) that do not depend on d.  The weights are
-cached per x, and one kernel, _chi_weighted_sum, multiplies them by a single
-block of chi values covering whole periods and sums the products once; the
+cached per x, and one kernel, _chi_weighted_sum, sums the products leaf by
+leaf along the pairwise tree that np.sum itself would run over the whole
+length-x product: each leaf of at most 2^15 terms is multiplied into one
+reused scratch buffer and summed by np.sum, and the leaf sums are added in
+the tree's order.  The value is that of the literal np.sum bit for bit, and
+no length-x product array is made.  The walk is a module-level function,
+not a closure, so that no reference cycle keeps a weight array alive.  The
 two direct sums are also memoised by (d, floor(x)).
 
 The module also carries the product quantities used by the discriminant scan
@@ -145,30 +150,52 @@ def _tau_weights(x: int) -> np.ndarray:
     return np.multiply(_inv_n(x), w, out=w)
 
 
-# The chi block of _chi_weighted_sum spans whole periods and at least this
-# many terms, so that every np.multiply row is long.
-_BLOCK_MIN = 4096
+# The largest leaf of _chi_weighted_sum.  It must be at least 128, the block
+# that np.sum adds without splitting, so that every node the walk splits is
+# one that np.sum splits too.
+_LEAF = 2**15
 
 
 def _chi_weighted_sum(D: FundamentalDiscriminant, w: np.ndarray) -> float:
     """sum_{n=1}^{x} chi(n) w[n-1] for a float64 weight array w of length x.
 
-    chi(1..B) is taken once as a float64 block, B a whole number of periods
-    and at least _BLOCK_MIN (or x, if x is smaller).  The weights, viewed as
-    K rows of B, are multiplied by that block into one float64 array, the
-    tail of x - K B terms by the head of the block, and one np.sum runs over
-    the result.  The products and their order are those of the literal
-    np.sum(chi[1:x+1].astype(np.float64) * w), so the value is bit-identical
-    to it.
+    The value is bit-identical to the literal
+    np.sum(chi[1:x+1].astype(np.float64) * w), but no length-x array is
+    made.  On a contiguous float64 array of length n > 128, np.sum adds
+    pairwise: it splits at n2 = n // 2 - (n // 2) % 8 and adds the sums of
+    the two halves.  _pairwise_leaves walks that same tree down to nodes of
+    at most _LEAF terms.  At each such leaf it multiplies the weights by
+    chi into one scratch buffer of _LEAF terms and sums the buffer with
+    np.sum, which runs the subtree below that node.  The leaf sums are added
+    as Python floats in the order np.sum adds them, so every rounding is the
+    same.  chi(1..) is taken once as a float64 block of _LEAF + q terms (or
+    x, if x is smaller) and read at offset lo % q for a leaf starting at lo.
     """
     x = w.size
     q = D.q
-    B = min(x, -(-_BLOCK_MIN // q) * q)
-    block = chi_values_up_to(D, B)[1:].astype(np.float64)
-    K, R = divmod(x, B)
-    out = np.empty(x, dtype=np.float64)
-    np.multiply(w[: K * B].reshape(K, B), block, out=out[: K * B].reshape(K, B))
-    np.multiply(w[K * B :], block[:R], out=out[K * B :])
+    chi = chi_values_up_to(D, min(x, _LEAF + q))[1:].astype(np.float64)
+    buf = np.empty(min(x, _LEAF), dtype=np.float64)
+    return _pairwise_leaves(w, chi, buf, q, 0, x)
+
+
+def _pairwise_leaves(
+    w: np.ndarray, chi: np.ndarray, buf: np.ndarray, q: int, lo: int, n: int
+) -> float:
+    """sum_{lo < m <= lo + n} chi(m) w[m-1] along np.sum's pairwise tree.
+
+    A module-level function on purpose: a recursive closure refers to itself
+    through its own cell, and that cycle would keep w, chi and buf alive
+    until the cyclic garbage collector runs, including a 76 MiB weight array
+    that the lru_cache has already let go.
+    """
+    if n > _LEAF:
+        n2 = n // 2 - (n // 2) % 8
+        return _pairwise_leaves(w, chi, buf, q, lo, n2) + _pairwise_leaves(
+            w, chi, buf, q, lo + n2, n - n2
+        )
+    off = lo % q
+    out = buf[:n]
+    np.multiply(w[lo : lo + n], chi[off : off + n], out=out)
     return float(np.sum(out))
 
 
@@ -286,9 +313,11 @@ def l_one_prime_tau(D: FundamentalDiscriminant, x: float) -> LValueEstimate:
     """
     q = D.q
     _check_truncation(x, q)
-    X = math.floor(x)
+    # The tau sum comes first: its capacity guard must fire before x^2 can
+    # overflow to inf in l_one.
+    tau = tau_over_n_sum(D, math.floor(x))
     l1 = l_one(D, float(x) * float(x))
-    value = tau_over_n_sum(D, X) - l1.value * (math.log(x) + EULER_GAMMA)
+    value = tau - l1.value * (math.log(x) + EULER_GAMMA)
     bound = _TAU_C_CAL * q**0.25 * math.log(x) / math.sqrt(x)
     bound += (math.log(x) + EULER_GAMMA) * l1.bound
     return LValueEstimate(

@@ -39,15 +39,25 @@ def test_summary_has_one_line_per_workload_and_metric():
     }
     report = {
         "workloads": {
-            "scan-large-q": {"metrics": bp.compare(SPEC, fast)},
-            "verify-all": {"metrics": bp.compare(SPEC, even)},
+            "scan-large-q": {
+                "failed": {"parent": 0, "change": 0},
+                "attempted": {"parent": 80, "change": 80},
+                "metrics": bp.compare(SPEC, fast),
+            },
+            "verify-all": {
+                "failed": {"parent": 0, "change": 2},
+                "attempted": {"parent": 3, "change": 3},
+                "metrics": bp.compare(SPEC, even),
+            },
         }
     }
     assert bp.format_summary(report) == [
+        "scan-large-q failed parent 0/80 -> change 0/80",
         "scan-large-q wall_s: 0.22 -> 0.17 s, wins 4/4, "
         "gain_claimable true, worse_than_bound false",
         "scan-large-q rows_per_s: 90.5 -> 60.5 1/s, wins 0/4, "
         "gain_claimable false, worse_than_bound true",
+        "verify-all failed parent 0/3 -> change 2/3",
         "verify-all wall_s: 1 -> 1 s, wins 1/3, "
         "gain_claimable false, worse_than_bound false",
         "verify-all rows_per_s: 10 -> 10 1/s, wins 1/3, "

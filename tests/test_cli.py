@@ -205,6 +205,21 @@ def test_tau_beyond_capacity_exits_one(capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("x", ["1e8", "1e200"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lvalues", "--d", "-7", "--method", "tau"],
+        ["scan", "--dmin", "-8", "--dmax", "-3"],
+    ],
+)
+def test_tau_route_beyond_capacity_exits_one(argv, x, capsys):
+    # the tau sum's budget is checked before L(1) at x^2, which is inf at 1e200
+    assert main(argv + ["--x", x]) == 1
+    err = capsys.readouterr().err
+    assert "exceeds budget" in err and "Traceback" not in err
+
+
 def test_chi_table_beyond_capacity_exits_one(capsys, monkeypatch):
     # |d| = 2^26 + 1: the guard fires before the period is built.  The
     # constructor's squarefree test factorizes |d| too, so only a call from

@@ -1,6 +1,9 @@
 """L-values at s = 1, Euler products, error functionals, multiplicative means."""
 
+import gc
 import math
+import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -375,14 +378,14 @@ def test_estimate_fields():
     assert ref.bound == 0.0 and math.isinf(ref.truncation)
 
 
-# ------------------------------------------------- chi-block weighted sums
+# ------------------------------------------------------ chi-weighted sums
 
 
 def literal_sums(D, x):
     """(L(1), L'(1), tau/n) partial sums as literal length-x numpy formulas.
 
-    These are the expressions the chi-block kernel replaced; its results must
-    equal them bit for bit, not merely approximately.
+    The kernel's results must equal these expressions bit for bit, not
+    merely approximately.
     """
     ch = chi_values_up_to(D, x)[1:].astype(np.float64)
     ns = np.arange(1, x + 1, dtype=np.float64)
@@ -423,25 +426,85 @@ def test_kernel_sums_equal_literal_formulas(case):
 
 
 def edge_truncations(q):
-    """x = q, B-1, B, B+1 and multiples of q, B the kernel's chi block (x >= q)."""
-    B = -(-lseries._BLOCK_MIN // q) * q
-    return sorted(x for x in {q, B - 1, B, B + 1, 2 * B + 1, 7 * q, 3 * B} if x >= q)
+    """x = q, 7q and the leaf edges of the kernel's pairwise walk (x >= q).
+
+    _LEAF - 1 and _LEAF are one leaf and _LEAF + 1 is two.  At _LEAF + 18
+    and 2 _LEAF + 18, n // 2 is not a multiple of 8, so the split is rounded
+    down to one.
+    """
+    L = lseries._LEAF
+    return sorted(x for x in {q, 7 * q, L - 1, L, L + 1, L + 18, 2 * L + 18} if x >= q)
 
 
 @pytest.mark.parametrize("d", [-3, -4, 5, 8, -8])
 def test_kernel_sums_block_edges(d):
+    # the blocks are the leaves of the kernel's walk, one np.sum call each
     D = FundamentalDiscriminant(d)
     for x in edge_truncations(D.q):
         assert kernel_sums(D, x) == literal_sums(D, x), x
 
 
 def test_kernel_sums_modulus_above_block():
-    # q > _BLOCK_MIN: the block is a single period
-    for d in (-4103, 4105, -4184):
-        D = FundamentalDiscriminant(d)
-        assert D.q > lseries._BLOCK_MIN
-        for x in edge_truncations(D.q) + [D.q + 1, 3 * D.q - 1]:
-            assert kernel_sums(D, x) == literal_sums(D, x), (d, x)
+    # q > _LEAF: every leaf reads chi at an offset inside the first period
+    L = lseries._LEAF
+    Ds = list(enumerate_fundamentals(-L - 40, -L - 1))[-2:]
+    Ds += list(enumerate_fundamentals(L + 1, L + 40))[:2]
+    assert len(Ds) == 4
+    for D in Ds:
+        assert D.q > L
+        for x in edge_truncations(D.q) + [D.q + 1, 2 * D.q + 18, 3 * D.q - 1]:
+            assert kernel_sums(D, x) == literal_sums(D, x), (D.d, x)
+
+
+def test_kernel_equals_np_sum_at_large_x():
+    # many levels of the pairwise tree above the leaves, small and large q
+    near_1e6 = list(enumerate_fundamentals(10**6 - 60, 10**6))[-1]
+    Ds = [FundamentalDiscriminant(d) for d in (-3, -4, 5, 8, -200003)] + [near_1e6]
+    try:
+        for x in (10**6, 10**7):
+            weights = [lseries._inv_n(x), lseries._log_over_n(x)]
+            if x == 10**6:
+                weights.append(lseries._tau_weights(x))
+            for D in Ds:
+                ch = chi_values_up_to(D, x)[1:].astype(np.float64)
+                for w in weights:
+                    assert lseries._chi_weighted_sum(D, w) == float(np.sum(ch * w)), (D.d, x)
+            del weights, ch
+    finally:
+        for cached in (lseries._inv_n, lseries._log_over_n, lseries._tau_weights):
+            cached.cache_clear()
+
+
+@pytest.mark.parametrize("d", [-3, 5, -299, 293])
+def test_kernel_makes_no_length_x_array(d):
+    D = FundamentalDiscriminant(d)
+    x = 2**22
+    w = np.arange(1, x + 1, dtype=np.float64)
+    chi_period(D)
+    tracemalloc.start()
+    try:
+        lseries._chi_weighted_sum(D, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
+def test_kernel_leaves_no_reference_cycle():
+    # a weight array must die with its last reference, not at the next
+    # cyclic collection (a recursive closure would keep it in a cycle)
+    D = FundamentalDiscriminant(-4)
+    w = np.arange(1, 3 * lseries._LEAF + 1, dtype=np.float64)
+    ref = weakref.ref(w)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        lseries._chi_weighted_sum(D, w)
+        del w
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_direct_sums_memoised_by_floor_of_x():

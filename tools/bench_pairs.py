@@ -19,8 +19,9 @@ change/parent ratio of the medians, whether the change's median is worse than
 the parent's by more than the benchmark's bound, whether a gain could be
 claimed (at least 9 wins in 10 and a median gap above the parent's
 interquartile range), the failure counts and the stamp line of each side.
-After the last pair one line per workload in --out and metric is printed:
-the parent and change medians, the wins, and both verdicts.
+After the last pair, per workload in --out, one line gives the failed and
+attempted operations of each side, and one line per metric gives the parent
+and change medians, the wins, and both verdicts.
 """
 
 from __future__ import annotations
@@ -81,9 +82,14 @@ def compare(spec: dict, runs: dict) -> dict:
 
 
 def format_summary(report: dict) -> list[str]:
-    """One line per workload and end-to-end metric of a BENCH report."""
+    """Per workload of a BENCH report, its failures and one line per end-to-end metric."""
     lines = []
     for workload, entry in report["workloads"].items():
+        failed, attempted = entry["failed"], entry["attempted"]
+        lines.append(
+            f"{workload} failed parent {failed['parent']}/{attempted['parent']} -> "
+            f"change {failed['change']}/{attempted['change']}"
+        )
         for name, m in entry["metrics"].items():
             lines.append(
                 f"{workload} {name}: {m['parent']['median']:.4g} -> "
