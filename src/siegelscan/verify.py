@@ -375,27 +375,21 @@ def verify_rho_swap_and_skeleton(
 
     lam_chi_prefix = np.zeros(T + 1, dtype=np.int64)
     np.cumsum(lam * ch, out=lam_chi_prefix)
-    d_top = min(T, math.floor(t / u) + 1)  # extension is harmless: inner empties
-    rhs_a = 0
-    for d in range(1, d_top + 1):
-        cd = int(ch[d])
-        if not cd:
-            continue
-        nd = T // d
-        if nd > FU:
-            rhs_a += cd * int(lam_chi_prefix[nd] - lam_chi_prefix[FU])
+    # d_top may pass t/u by one: that d has T // d <= FU, an empty inner sum
+    d_top = min(T, math.floor(t / u) + 1)
+    nd = T // np.arange(1, d_top + 1)
+    cd = ch[1 : d_top + 1]
+
+    def swap_sum(lo: int) -> int:
+        """sum_{d <= d_top} chi(d) sum_{lo <= n <= T/d} lambda(n) chi(n), exactly."""
+        keep = nd >= lo
+        return int(np.sum(cd[keep] * (lam_chi_prefix[nd[keep]] - lam_chi_prefix[lo - 1])))
+
+    rhs_a = swap_sum(FU + 1)
     residual_a = abs(lhs_a - rhs_a)
 
     if float(u).is_integer():
-        iu = int(u)
-        rhs_ns = 0
-        for d in range(1, d_top + 1):
-            cd = int(ch[d])
-            if not cd:
-                continue
-            nd = T // d
-            if nd >= iu:
-                rhs_ns += cd * int(lam_chi_prefix[nd] - lam_chi_prefix[iu - 1])
+        rhs_ns = swap_sum(int(u))
         params["rhs_swap_nonstrict"] = rhs_ns
         params["nonstrict_differs"] = bool(rhs_ns != lhs_a)
 
@@ -639,6 +633,13 @@ def verify_tau_props(D: FundamentalDiscriminant, y: float) -> IdentityReport:
     return _exact_report("tau_props", params, lhs, rhs, violation, passed)
 
 
+def _smoothed(f: MultiplicativeFunc, cutoff: float) -> MultiplicativeFunc:
+    """g(p) = 1 for p <= cutoff and g(p) = f(p) above."""
+    return MultiplicativeFunc(
+        f"smoothed[{f.name}]", lambda ps: np.where(ps <= cutoff, 1.0, f.values(ps))
+    )
+
+
 def verify_theta_decomposition(
     f: MultiplicativeFunc, x: float, eps_exp: float, *, c_max: float = 100.0
 ) -> IdentityReport:
@@ -663,10 +664,7 @@ def verify_theta_decomposition(
 
     theta, _ = theta_and_s(f, cutoff)
     _, s_full = theta_and_s(f, x)
-    g = MultiplicativeFunc(
-        f"smoothed[{f.name}]", lambda p: 1.0 if p <= cutoff else f.at(p)
-    )
-    gv = values_up_to(g, X)
+    gv = values_up_to(_smoothed(f, cutoff), X)
     rhs = theta * float(np.sum(gv[1:])) / x
 
     env = eps_exp * math.exp(s_full)

@@ -220,6 +220,15 @@ def test_tau_route_beyond_capacity_exits_one(argv, x, capsys):
     assert "exceeds budget" in err and "Traceback" not in err
 
 
+def test_tau_capacity_error_names_x_briefly(capsys):
+    # x = 1e200 used to be printed in full, all 201 digits
+    assert main(["lvalues", "--d", "-7", "--x", "1e200", "--method", "tau"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert len(lines[0]) <= 80, lines[0]
+    assert "10^200.00" in lines[0]
+
+
 def test_chi_table_beyond_capacity_exits_one(capsys, monkeypatch):
     # |d| = 2^26 + 1: the guard fires before the period is built.  The
     # constructor's squarefree test factorizes |d| too, so only a call from

@@ -1,0 +1,87 @@
+"""The diff logic of the output-identity script, on synthetic outputs."""
+
+import importlib.util
+import pathlib
+
+COMPARE_OUTPUTS = pathlib.Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+
+
+def load_compare_outputs():
+    spec = importlib.util.spec_from_file_location("compare_outputs", COMPARE_OUTPUTS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+PARENT = {
+    "verify defaults: stdout": "[PASS] a\n[PASS] b\nsuite=all passed 2/2\n",
+    "verify defaults: --out": '[\n  {"lhs": 1.0}\n]\n',
+    "verify defaults: exit code": "0\n",
+    "roadmap scan: stdout": "d,q\n-3,3\n",
+}
+
+
+def test_identical_outputs_have_no_difference():
+    co = load_compare_outputs()
+    assert co.first_difference(PARENT, dict(PARENT)) is None
+
+
+def test_first_differing_line_is_named():
+    co = load_compare_outputs()
+    change = dict(PARENT)
+    change["verify defaults: --out"] = '[\n  {"lhs": 1.0000000000000002}\n]\n'
+    change["roadmap scan: stdout"] = "d,q\n-4,4\n"
+    assert co.first_difference(PARENT, change) == (
+        "verify defaults: --out: line 2: parent '  {\"lhs\": 1.0}\\n' "
+        "!= change '  {\"lhs\": 1.0000000000000002}\\n'"
+    )
+
+
+def test_exit_code_and_missing_newline_count():
+    co = load_compare_outputs()
+    change = dict(PARENT, **{"verify defaults: exit code": "1\n"})
+    assert co.first_difference(PARENT, change) == (
+        "verify defaults: exit code: line 1: parent '0\\n' != change '1\\n'"
+    )
+    change = dict(PARENT, **{"roadmap scan: stdout": "d,q\n-3,3"})
+    assert co.first_difference(PARENT, change) == (
+        "roadmap scan: stdout: line 2: parent '-3,3\\n' != change '-3,3'"
+    )
+
+
+def test_extra_lines_and_missing_outputs():
+    co = load_compare_outputs()
+    change = dict(PARENT, **{"roadmap scan: stdout": "d,q\n-3,3\n-4,4\n"})
+    assert co.first_difference(PARENT, change) == (
+        "roadmap scan: stdout: parent has 2 lines, change has 3"
+    )
+    change = {k: v for k, v in PARENT.items() if k != "verify defaults: --out"}
+    assert co.first_difference(PARENT, change) == (
+        "verify defaults: --out: missing on the change side"
+    )
+    change = dict(PARENT, **{"lvalues -3 direct 1e6: stdout": "{}\n"})
+    assert co.first_difference(PARENT, change) == (
+        "lvalues -3 direct 1e6: stdout: missing on the parent side"
+    )
+
+
+def test_every_output_of_a_call_is_collected():
+    # the runner keeps exit code, stdout and the --out file of each call
+    co = load_compare_outputs()
+    root = pathlib.Path(__file__).resolve().parents[1]
+    calls = [
+        ("bad d", ["lvalues", "--d", "6"], None),
+        ("lvalues", ["lvalues", "--d", "-4", "--x", "100"], None),
+        ("identities", ["verify", "--suite", "identities", "--two-var-cases", "1",
+                        "--swap-cases", "1"], "identities.json"),
+    ]
+    out = co.collect(str(root), calls)
+    assert list(out) == [
+        "bad d: stdout", "bad d: exit code",
+        "lvalues: stdout", "lvalues: exit code",
+        "identities: stdout", "identities: --out", "identities: exit code",
+    ]
+    assert out["bad d: exit code"] == "2\n" and out["bad d: stdout"] == ""
+    assert out["lvalues: stdout"].startswith('{"d": -4, "q": 4, "method": "direct"')
+    assert out["identities: exit code"] == "0\n"
+    assert out["identities: --out"].startswith("[\n")

@@ -44,7 +44,7 @@ from siegelscan import (
 )
 from siegelscan import lseries
 from siegelscan.primes import DEFAULT_MAX_WIDTH, factorize
-from siegelscan.verify import _coprime_zeta2_exact
+from siegelscan.verify import TAU_LOG_GRID, _coprime_zeta2_exact, _smoothed
 
 KNOWN_CLASS_NUMBERS = {
     -3: 1, -4: 1, -7: 1, -8: 1, -11: 1, -15: 2, -20: 2, -23: 3,
@@ -370,6 +370,100 @@ def test_theta_of_flip_cutoff_equals_euler_ratio():
         assert abs(theta - euler_p_ratio(D)) < 1e-12, d
 
 
+def f_at_primes(f, x):
+    """(p, f(p)) over the primes p <= x as Python numbers, in ascending order."""
+    ps = primes_upto(x)
+    return zip(ps.tolist(), f.values(ps).tolist())
+
+
+def loop_values_up_to(f, x):
+    """values_up_to as a loop over all primes p <= x: the reference.
+
+    One slice multiplication per prime power, primes in ascending order,
+    f(p) = 1 skipped.
+    """
+    vals = np.ones(x + 1, dtype=np.float64)
+    vals[0] = 0.0
+    for p, v in f_at_primes(f, x):
+        if v == 1.0:
+            continue
+        pk = p
+        while pk <= x:
+            vals[pk::pk] *= v
+            pk *= p
+    return vals
+
+
+def loop_theta_and_s(f, x):
+    """theta_and_s as a loop over the primes p <= x: the reference."""
+    if x < 2:
+        return 1.0, 0.0
+    log_theta = 0.0
+    s = 0.0
+    for p, fp in f_at_primes(f, math.floor(x)):
+        s += abs(1.0 - fp) / p
+        local = 1.0 / (1.0 - fp / p)
+        log_theta += math.log1p(-1.0 / p) + math.log(local)
+    return math.exp(log_theta), s
+
+
+def reference_functions():
+    D4, D5 = FundamentalDiscriminant(-4), FundamentalDiscriminant(5)
+    # 0.5 and -0.75 multiply exactly; 1 - 1/p with a sign rounds, so the
+    # order in which the factors of n are multiplied shows in the last bits
+    halves = MultiplicativeFunc("halves", lambda ps: np.where(ps % 4 == 1, 0.5, -0.75))
+    damped = MultiplicativeFunc(
+        "damped", lambda ps: (1.0 - 1.0 / ps) * np.where(ps % 3 == 1, 1.0, -1.0)
+    )
+    return [
+        mf_one(),
+        mf_liouville(),
+        mf_liouville_times_chi(D4),
+        mf_liouville_times_chi(D5),
+        mf_char_flip_cutoff(D4),
+        mf_char_flip_cutoff(FundamentalDiscriminant(-163)),
+        _smoothed(mf_liouville(), 1e5**0.2),
+        _smoothed(mf_char_flip_cutoff(D4), 4.0),
+        _smoothed(damped, 31.6),
+        halves,
+        damped,
+    ]
+
+
+# sqrt(x) a prime at 4, 9 and 1009^2; x a perfect square at 1, 4, 9, 10^4
+REFERENCE_XS = [1, 2, 3, 4, 9, 10**4, 1009**2]
+
+
+@pytest.mark.parametrize("x", REFERENCE_XS)
+def test_values_up_to_equals_prime_loop(x):
+    for f in reference_functions():
+        got, want = values_up_to(f, x), loop_values_up_to(f, x)
+        assert got.tobytes() == want.tobytes(), (f.name, x)
+
+
+@pytest.mark.parametrize("x", REFERENCE_XS)
+def test_theta_and_s_equals_prime_loop(x):
+    for f in reference_functions():
+        assert theta_and_s(f, x) == loop_theta_and_s(f, x), (f.name, x)
+
+
+def test_multiplicative_values_are_array_valued():
+    D = FundamentalDiscriminant(-4)
+    ps = primes_upto(50)
+    f = mf_liouville_times_chi(D)
+    v = f.values(ps)
+    assert v.dtype == np.float64 and v.shape == ps.shape
+    assert v.tolist() == [f.at(p) for p in ps.tolist()]
+    assert v.tolist() == [-float(chi_eval(D, p)) for p in ps.tolist()]
+    assert mf_one().values(ps).tolist() == [1.0] * ps.size
+    bad = MultiplicativeFunc("over-at-7", lambda ps: np.where(ps == 7, -1.25, 0.5))
+    assert bad.at(5) == 0.5
+    with pytest.raises(ContractError, match=r"\|f\(7\)\| = 1.25"):
+        bad.values(ps)
+    with pytest.raises(ContractError):
+        values_up_to(bad, 10)
+
+
 def test_estimate_fields():
     est = l_one(FundamentalDiscriminant(-4), 10**5)
     assert est.truncation == 10**5
@@ -471,8 +565,7 @@ def test_kernel_equals_np_sum_at_large_x():
                     assert lseries._chi_weighted_sum(D, w) == float(np.sum(ch * w)), (D.d, x)
             del weights, ch
     finally:
-        for cached in (lseries._inv_n, lseries._log_over_n, lseries._tau_weights):
-            cached.cache_clear()
+        lseries._WEIGHTS.clear()
 
 
 @pytest.mark.parametrize("d", [-3, 5, -299, 293])
@@ -535,6 +628,9 @@ def test_tau_over_n_sum_capacity_guard(monkeypatch):
         tau_over_n_sum(D, DEFAULT_MAX_WIDTH + 1)
     with pytest.raises(CapacityError):
         l_one_prime_tau(D, 1e9)
+    # the message names x in a few characters; str() refuses past 4300 digits
+    with pytest.raises(CapacityError, match=r"length 10\^5000\.00 exceeds"):
+        tau_over_n_sum(D, 10**5000)
 
 
 # ------------------------------------------------ the complete-period route
@@ -590,6 +686,58 @@ def test_l_one_takes_the_period_route_above_the_direct_limit():
     D = FundamentalDiscriminant(-200003)
     x = lseries._DIRECT_LIMIT + 1
     assert l_one(D, x).value == period_sum_reference(D, x)
+
+
+def test_weight_cache_builds_each_array_once_within_budget():
+    # d-major over x = 1e4, 1e5, 1e6 with L(1) and L'(1) at 1e7, as
+    # TAU_LOG_GRID runs; per-kind two-entry LRUs built 1/n 20 times here
+    cache = lseries._WEIGHTS
+    cache.clear()
+    lseries._direct_chi_over_n.cache_clear()
+    lseries._direct_chi_log_over_n.cache_clear()
+    misses = cache.misses
+    try:
+        for d, x in TAU_LOG_GRID:
+            D = FundamentalDiscriminant(d)
+            tau_over_n_sum(D, math.floor(x))
+            assert cache.nbytes <= cache.budget
+            l_one(D, 10**7)
+            assert cache.nbytes <= cache.budget
+            l_one_prime_direct(D, 10**7)
+            assert cache.nbytes <= cache.budget
+        xs = sorted({math.floor(x) for _, x in TAU_LOG_GRID})
+        built = {("_inv_n", x) for x in xs + [10**7]}
+        built |= {("_tau_weights", x) for x in xs} | {("_log_over_n", 10**7)}
+        assert set(cache._held) == built
+        assert cache.misses - misses == len(built)
+        assert cache.nbytes == sum(w.nbytes for w in cache._held.values())
+    finally:
+        cache.clear()
+
+
+def test_weight_cache_evicts_by_bytes_and_skips_oversized(monkeypatch):
+    cache = lseries._WEIGHTS
+    cache.clear()
+    monkeypatch.setattr(cache, "budget", 8 * 1000)
+    try:
+        misses = cache.misses
+        # larger than the whole budget: returned, not held, so built again
+        w = lseries._inv_n(1001)
+        assert np.array_equal(w, 1.0 / np.arange(1, 1002, dtype=np.float64))
+        assert cache.nbytes == 0 and not cache._held
+        lseries._inv_n(1001)
+        assert cache.misses - misses == 2
+        # exactly the budget is held; the next array pushes out the oldest
+        lseries._inv_n(600)
+        lseries._log_over_n(400)
+        assert list(cache._held) == [("_inv_n", 600), ("_log_over_n", 400)]
+        lseries._inv_n(600)  # a hit moves it to the back
+        lseries._inv_n(300)
+        assert list(cache._held) == [("_inv_n", 600), ("_inv_n", 300)]
+        assert cache.nbytes == 8 * 900 <= cache.budget
+        assert cache.misses - misses == 5
+    finally:
+        cache.clear()
 
 
 @pytest.mark.parametrize("x", [1, 2, 4096, 100003])

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from siegelscan import (
@@ -9,6 +10,7 @@ from siegelscan import (
     FundamentalDiscriminant,
     IdentityReport,
     ScanRow,
+    chi_values_up_to,
     enumerate_fundamentals,
     euler_p_ratio,
     main_term_product,
@@ -100,6 +102,44 @@ def test_rho_swap_boundary_convention_matters():
     assert rep.lhs == 17.0
     assert rep.params["rhs_swap_nonstrict"] == 16.0
     assert rep.passed
+
+
+def literal_swap_sums(D, t, u):
+    """The right side of the swap, strict and (for integer u) non-strict, by
+    the loop over d <= t/u + 1 that the check used to run."""
+    T, FU = math.floor(t), math.floor(u)
+    lam = sieve.liouville_table(T).astype(np.int64)
+    ch = chi_values_up_to(D, T).astype(np.int64)
+    prefix = np.cumsum(lam * ch)
+    d_top = min(T, math.floor(t / u) + 1)
+    strict = nonstrict = 0
+    for d in range(1, d_top + 1):
+        cd = int(ch[d])
+        if not cd:
+            continue
+        nd = T // d
+        if nd > FU:
+            strict += cd * int(prefix[nd] - prefix[FU])
+        if nd >= u:
+            nonstrict += cd * int(prefix[nd] - prefix[int(u) - 1])
+    return strict, (nonstrict if float(u).is_integer() else None)
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_rho_swap_equals_literal_loop(seeded):
+    # the catalog's integer-u rows cover the non-strict branch
+    cases = random_swap_triples(7, 20) if seeded else verify.SWAP_CATALOG
+    nonstrict_rows = 0
+    for d, t, u in cases:
+        if u >= t:
+            continue
+        D = FundamentalDiscriminant(d)
+        rep = verify_rho_swap_and_skeleton(D, t, u)
+        strict, nonstrict = literal_swap_sums(D, t, u)
+        assert rep.rhs == float(strict) and rep.lhs == rep.rhs, (d, t, u)
+        assert rep.params.get("rhs_swap_nonstrict") == nonstrict, (d, t, u)
+        nonstrict_rows += nonstrict is not None
+    assert nonstrict_rows == (0 if seeded else 1)
 
 
 def test_rho_table_matches_pointwise():

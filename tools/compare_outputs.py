@@ -1,0 +1,134 @@
+"""Check that two checkouts print byte-identical outputs; name the first difference.
+
+Usage (from any directory):
+
+    python3 tools/compare_outputs.py --parent DIR --change DIR
+
+DIR is a checkout holding src/siegelscan and perfbench/.  In each checkout,
+one fresh Python process runs these calls through ``siegelscan.cli.main``
+and keeps each call's exit code and stdout, and the file any ``--out``
+writes:
+
+- ``verify --suite all`` at the defaults, with ``--out``;
+- ``verify --suite all`` with the arguments of the ``verify-all`` benchmark
+  workload at seed 1, with ``--out``;
+- the ROADMAP scan, ``scan --dmin -10000 --dmax 10000 --x 1e6 --jobs 2``;
+- the ``lvalues`` calls of the 100 queries of ``lvalues_stream(1, 0, 100)``
+  from the parent's perfbench/run.py.
+
+Exit 0 when every output is byte-identical, 1 otherwise, with the first
+difference (output, line and both lines) on stderr.  The scan takes about
+10 s a side on a 2-vCPU host; the rest about 5 s.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROADMAP_SCAN = ["scan", "--dmin", "-10000", "--dmax", "10000", "--x", "1e6", "--jobs", "2"]
+
+# Runs a JSON list of argv vectors (stdin) through siegelscan.cli.main in
+# one process and writes a JSON list of {"code", "out"} (stdout) to stdout.
+_RUNNER = """
+import contextlib, io, json, sys
+from siegelscan.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    results.append({"code": code, "out": buf.getvalue()})
+json.dump(results, sys.stdout)
+"""
+
+
+def load_perfbench_run(root: str):
+    path = os.path.join(root, "perfbench", "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def named_calls(run) -> list[tuple[str, list[str], str | None]]:
+    """(name, argv, the --out file name or None) for every compared call."""
+    verify_all = run.make_workload("verify-all", 1, False).calls()[0]
+    calls = [
+        ("verify defaults", ["verify", "--suite", "all"], "verify-defaults.json"),
+        ("verify verify-all", verify_all, "verify-all.json"),
+        ("roadmap scan", ROADMAP_SCAN, None),
+    ]
+    for d, method, x in run.lvalues_stream(1, 0, 100):
+        calls.append((f"lvalues {d} {method} {x}",
+                      ["lvalues", "--d", str(d), "--x", x, "--method", method], None))
+    return calls
+
+
+def collect(root: str, calls: list[tuple[str, list[str], str | None]]) -> dict[str, str]:
+    """Every output of the calls in checkout root, by name, as text.
+
+    Per call: stdout, then the --out file, then the exit code, so that the
+    first difference reported is the most telling one.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = [argv + (["--out", os.path.join(tmp, out)] if out else [])
+                 for _, argv, out in calls]
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUNNER], input=json.dumps(argvs), cwd=tmp, env=env,
+            capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            raise SystemExit(f"the calls in {root} exited {proc.returncode}:\n{proc.stderr}")
+        outputs = {}
+        for (name, _, out), res in zip(calls, json.loads(proc.stdout)):
+            outputs[f"{name}: stdout"] = res["out"]
+            if out:
+                with open(os.path.join(tmp, out)) as fh:
+                    outputs[f"{name}: --out"] = fh.read()
+            outputs[f"{name}: exit code"] = f"{res['code']}\n"
+    return outputs
+
+
+def first_difference(parent: dict[str, str], change: dict[str, str]) -> str | None:
+    """The first output, in the parent's order, that differs; None if none does."""
+    for name in list(parent) + [n for n in change if n not in parent]:
+        if name not in change or name not in parent:
+            side = "change" if name not in change else "parent"
+            return f"{name}: missing on the {side} side"
+        a, b = parent[name], change[name]
+        if a == b:
+            continue
+        la, lb = a.splitlines(keepends=True), b.splitlines(keepends=True)
+        for i, (x, y) in enumerate(zip(la, lb), start=1):
+            if x != y:
+                return f"{name}: line {i}: parent {x!r} != change {y!r}"
+        return f"{name}: parent has {len(la)} lines, change has {len(lb)}"
+    return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", required=True)
+    args = ap.parse_args(argv)
+
+    calls = named_calls(load_perfbench_run(args.parent))
+    parent = collect(args.parent, calls)
+    change = collect(args.change, calls)
+    diff = first_difference(parent, change)
+    if diff is not None:
+        print(f"outputs differ: {diff}", file=sys.stderr)
+        return 1
+    print(f"{len(parent)} outputs of {len(calls)} calls byte-identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
