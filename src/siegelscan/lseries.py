@@ -59,7 +59,7 @@ Multiplicative functions are completely multiplicative and given by f(p)
 alone, as a callable from an int64 array of primes to float64 values, so
 that f is evaluated once over all primes p <= x.  values_up_to multiplies
 in the primes p <= sqrt(x) by slices and the one prime factor above sqrt(x)
-by a single gather through the cofactors; theta_and_s builds its terms as
+by one gather per cofactor; theta_and_s builds its terms as
 arrays and adds them from p = 2 upwards by np.cumsum.  Both equal a loop
 over the primes bit for bit.  On a 2-vCPU host, in one traced unit of the
 verify-all benchmark, this and the weight cache cut the self time of
@@ -589,8 +589,8 @@ def values_up_to(f: MultiplicativeFunc, x: int) -> np.ndarray:
     f(p) = 1.  A prime P > sqrt(x) divides n <= x at most once, and is the
     last factor that an ascending loop over the primes would multiply in:
     by then v[m P] = v[m] for the cofactor m < sqrt(x).  So all those n get
-    v[n] = v[m] * f(P) in one gather over the pairs (m, P), and every value
-    equals that of the loop over all primes bit for bit.
+    v[n] = v[m] * f(P) by one gather per cofactor m over the big P <= x/m,
+    and every value equals that of the loop over all primes bit for bit.
     """
     if x < 1:
         raise DomainError("x must be >= 1")
@@ -608,11 +608,9 @@ def values_up_to(f: MultiplicativeFunc, x: int) -> np.ndarray:
             pk *= p
     big, fbig = ps[k:], fp[k:]
     if big.size:
-        # counts[m-1] big primes P <= x/m; pair i is (cof[i], big[j[i]])
-        counts = np.searchsorted(big, x // np.arange(1, x // int(big[0]) + 1), side="right")
-        cof = np.repeat(np.arange(1, counts.size + 1), counts)
-        j = np.arange(cof.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        vals[cof * big[j]] = vals[cof] * fbig[j]
+        for m in range(1, x // int(big[0]) + 1):
+            j = int(np.searchsorted(big, x // m, side="right"))
+            vals[m * big[:j]] = vals[m] * fbig[:j]
     return vals
 
 

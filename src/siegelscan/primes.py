@@ -7,7 +7,7 @@ and ``siegelscan.primes_upto`` are this same function.  ``factorize`` serves
 the squarefree test of ``characters.is_fundamental``, the chi tables of
 ``characters`` and the divisor enumeration of ``sieve``.
 
-DEFAULT_MAX_WIDTH caps arrays sized by an argument (sieve segments, chi
+DEFAULT_MAX_WIDTH caps arrays sized by an argument (sieve tables, chi
 periods, tau weights), RANGE_LIMIT the integers sieved or factorized.
 """
 
@@ -21,8 +21,9 @@ from .errors import DomainError
 
 __all__ = ["DEFAULT_MAX_WIDTH", "RANGE_LIMIT", "primes_upto", "factorize"]
 
-# Default cap on a single array: 2^26 entries (~1 GB transient while building
-# a sieve segment).  Desk-scale work tops out at 1e7.
+# Default cap on a single array: 2^26 entries.  build_sieve holds about 29
+# bytes per entry while it runs (tracemalloc peak at 1e6), so ~1.9 GB at 2^26.
+# Desk-scale work tops out at 1e7.
 DEFAULT_MAX_WIDTH = 1 << 26
 
 RANGE_LIMIT = 1 << 40

@@ -1,10 +1,10 @@
-"""Segmented arithmetic-function sieve and divisor functionals.
+"""Arithmetic-function sieve and divisor functionals.
 
-For a range [lo, hi] the sieve tabulates Omega(n) (number of prime factors
-with multiplicity, 8-bit), the Liouville sign lambda(n) = (-1)^Omega(n), and
-the prime-power base: p when n = p^k, 0 otherwise.  The von Mangoldt value
-Lambda(n) = log(base) is recomputed from the stored base prime on every read
-and is never stored as a float.
+For [1, hi] the sieve tabulates Omega(n) (number of prime factors with
+multiplicity, 8-bit), the Liouville sign lambda(n) = (-1)^Omega(n), and the
+prime-power base: p when n = p^k, 0 otherwise.  Every array is indexed by n,
+and entry 0 is 0.  The von Mangoldt value Lambda(n) = log(base) is never
+stored: prime_powers_upto is the one reader of the base column.
 
 On top of the sieve sit the divisor functionals used by the analytic checks:
 
@@ -35,6 +35,7 @@ __all__ = [
     "build_sieve",
     "shared_sieve",
     "liouville_table",
+    "prime_powers_upto",
     "divisor_lambda_sum",
     "rho_u",
     "tau_chi",
@@ -46,67 +47,39 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SieveTable:
-    """Immutable sieve segment over [lo, hi]."""
+    """Immutable sieve table over [1, hi], indexed by n; entry 0 is 0."""
 
-    lo: int
     hi: int
     omega: np.ndarray  # uint8
     lambda_sign: np.ndarray  # int8, +-1
     pp_base: np.ndarray  # int64, p if n = p^k else 0
 
-    def _index(self, n: int) -> int:
-        if not (self.lo <= n <= self.hi):
-            raise DomainError(f"n={n} outside sieve range [{self.lo}, {self.hi}]")
-        return n - self.lo
 
-    def omega_of(self, n: int) -> int:
-        return int(self.omega[self._index(n)])
-
-    def liouville(self, n: int) -> int:
-        return int(self.lambda_sign[self._index(n)])
-
-    def von_mangoldt(self, n: int) -> float:
-        base = int(self.pp_base[self._index(n)])
-        return math.log(base) if base > 0 else 0.0
-
-    def slice(self, lo: int, hi: int) -> "SieveTable":
-        """View of a subrange; sieving is segment-independent so this is exact."""
-        if not (self.lo <= lo <= hi <= self.hi):
-            raise DomainError("slice outside table range")
-        a, b = lo - self.lo, hi - self.lo + 1
-        return SieveTable(lo, hi, self.omega[a:b], self.lambda_sign[a:b], self.pp_base[a:b])
-
-
-def build_sieve(lo: int, hi: int, max_width: int = DEFAULT_MAX_WIDTH) -> SieveTable:
-    """Sieve [lo, hi] using primes up to sqrt(hi).
+def build_sieve(hi: int) -> SieveTable:
+    """Sieve [1, hi] using primes up to sqrt(hi).
 
     Each prime power pk <= hi contributes one slice pass: Omega gains 1 on
     multiples of pk, and the tracked cofactor is divided by p once per level,
     so after all passes the cofactor is the part of n built from primes above
     sqrt(hi) (always 1 or a single prime).
     """
-    if not (1 <= lo <= hi <= RANGE_LIMIT):
-        raise DomainError(f"need 1 <= lo <= hi <= 2^40, got [{lo}, {hi}]")
-    width = hi - lo + 1
-    if width > max_width:
-        raise CapacityError(f"segment width {width} exceeds budget {max_width}")
+    if not (1 <= hi <= RANGE_LIMIT):
+        raise DomainError(f"need 1 <= hi <= 2^40, got {hi}")
+    if hi > DEFAULT_MAX_WIDTH:
+        raise CapacityError(f"sieve length {hi} exceeds budget {DEFAULT_MAX_WIDTH}")
 
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    ns = np.arange(hi + 1, dtype=np.int64)
     rem = ns.copy()
-    omega = np.zeros(width, dtype=np.uint8)
-    ppb = np.zeros(width, dtype=np.int64)
+    omega = np.zeros(hi + 1, dtype=np.uint8)
+    ppb = np.zeros(hi + 1, dtype=np.int64)
 
     for p in primes_upto(math.isqrt(hi)):
         p = int(p)
         pk = p
         while pk <= hi:
-            start = ((lo + pk - 1) // pk) * pk
-            if start <= hi:
-                sl = slice(start - lo, width, pk)
-                omega[sl] += 1
-                rem[sl] //= p
-            if pk >= lo:
-                ppb[pk - lo] = p
+            omega[pk::pk] += 1
+            rem[pk::pk] //= p
+            ppb[pk] = p
             pk *= p
 
     big = rem > 1  # one prime factor above sqrt(hi) survives
@@ -114,29 +87,37 @@ def build_sieve(lo: int, hi: int, max_width: int = DEFAULT_MAX_WIDTH) -> SieveTa
     prime_left = (rem == ns) & (ns > 1)
     ppb[prime_left] = ns[prime_left]
 
-    lam = np.where(omega & 1, -1, 1).astype(np.int8)
-    return SieveTable(lo=lo, hi=hi, omega=omega, lambda_sign=lam, pp_base=ppb)
+    lam = np.where(omega & 1, np.int8(-1), np.int8(1))
+    lam[0] = 0
+    return SieveTable(hi=hi, omega=omega, lambda_sign=lam, pp_base=ppb)
 
 
-# One shared table rooted at 1, grown monotonically.  Callers get views.
+# One shared table rooted at 1, grown monotonically.  Callers get prefixes.
 _shared: list[SieveTable] = []
 
 
 def shared_sieve(hi: int) -> SieveTable:
-    """A (possibly cached) table over [1, hi]."""
-    if _shared and _shared[0].hi >= hi:
-        return _shared[0].slice(1, hi)
-    table = build_sieve(1, hi)
-    _shared[:] = [table]
-    return table
+    """A table over [1, hi]: a prefix (views) of one cached table."""
+    if not (_shared and 1 <= hi <= _shared[0].hi):
+        _shared[:] = [build_sieve(hi)]
+    t = _shared[0]
+    n = hi + 1
+    return SieveTable(hi, t.omega[:n], t.lambda_sign[:n], t.pp_base[:n])
 
 
 def liouville_table(x: int) -> np.ndarray:
-    """int8 array L of length x+1 with L[n] = lambda(n); L[0] = 0."""
-    t = shared_sieve(x)
-    out = np.zeros(x + 1, dtype=np.int8)
-    out[1:] = t.lambda_sign
-    return out
+    """int8 array L of length x+1 with L[n] = lambda(n); L[0] = 0.  A copy."""
+    return shared_sieve(x).lambda_sign.copy()
+
+
+def prime_powers_upto(hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The prime powers n <= hi in ascending order (int64) and Lambda(n).
+
+    Lambda(n) = log p for n = p^k, as np.log of the base prime in float64.
+    """
+    base = shared_sieve(hi).pp_base
+    ns = np.nonzero(base)[0]
+    return ns, np.log(base[ns].astype(np.float64))
 
 
 def _divisors_with_parity(m: int) -> Iterator[tuple[int, int]]:
@@ -226,16 +207,11 @@ def tau_chi_table(D: FundamentalDiscriminant, x: int) -> np.ndarray:
     return divisor_accumulate(chi_values_up_to(D, x), 1, x)
 
 
-def psi_u(
-    D: FundamentalDiscriminant,
-    z: float,
-    u: float,
-    table: SieveTable | None = None,
-) -> float:
+def psi_u(D: FundamentalDiscriminant, z: float, u: float) -> float:
     """psi_u(z, chi) = sum_{u < n <= z} Lambda(n) chi(n).
 
-    Requires z > u >= 0.  Only prime powers contribute; Lambda is recovered
-    as log of the stored base prime.
+    Requires z > u >= 0.  Only prime powers contribute, read by
+    prime_powers_upto.
     """
     if u < 0:
         raise DomainError("u must be >= 0")
@@ -245,15 +221,7 @@ def psi_u(
     lo = math.floor(u) + 1
     if hi < lo:
         return 0.0
-    if table is None:
-        table = shared_sieve(hi)
-    if not (table.lo <= lo and hi <= table.hi):
-        raise DomainError("sieve table does not cover (u, z]")
-    view = table.slice(lo, hi)
-    idx = np.nonzero(view.pp_base)[0]
-    if idx.size == 0:
-        return 0.0
-    ns = idx + lo
+    ns, vm = prime_powers_upto(hi)
+    i = int(np.searchsorted(ns, lo))
     per = chi_period(D).astype(np.float64)
-    ch = per[ns % D.q]
-    return float(np.sum(np.log(view.pp_base[idx].astype(np.float64)) * ch))
+    return float(np.sum(vm[i:] * per[ns[i:] % D.q]))

@@ -55,8 +55,8 @@ from .primes import factorize, primes_upto
 from .sieve import (
     divisor_accumulate,
     liouville_table,
+    prime_powers_upto,
     rho_u,
-    shared_sieve,
     tau_chi_table,
 )
 
@@ -269,10 +269,7 @@ def verify_exponential_decomposition(
         raise DomainError("exponential decomposition capped at x <= 1e5")
     FU = math.floor(u)
 
-    table = shared_sieve(X)
-    pp_idx = np.nonzero(table.pp_base)[0]
-    pp_n = pp_idx + 1
-    pp_vm = np.log(table.pp_base[pp_idx].astype(np.float64))
+    pp_n, pp_vm = prime_powers_upto(X)
     lam = liouville_table(X)
 
     w = np.exp(2j * np.pi * np.arange(q) / q)
@@ -438,12 +435,9 @@ def verify_rho_swap_and_skeleton(
 
 def _lambda_chi_cumsum(D: FundamentalDiscriminant, X: int) -> np.ndarray:
     """P[j] = sum_{n<=j} Lambda(n) chi(n) as a float64 prefix array."""
-    table = shared_sieve(X)
+    ns, vm = prime_powers_upto(X)
     acc = np.zeros(X + 1, dtype=np.float64)
-    idx = np.nonzero(table.pp_base)[0]
-    ns = idx + 1
-    ch = chi_values_up_to(D, X)[ns].astype(np.float64)
-    acc[ns] = np.log(table.pp_base[idx].astype(np.float64)) * ch
+    acc[ns] = vm * chi_values_up_to(D, X)[ns].astype(np.float64)
     np.cumsum(acc, out=acc)
     return acc
 
@@ -879,10 +873,10 @@ def _two_var_named(name: str, x: int):
         lam = liouville_table(x).tolist()
         return (lambda m, n: lam[n]), True
     if name == "vm-exp-third":
-        table = shared_sieve(x)
-        vm = [0.0] * (x + 1)
-        for i in np.nonzero(table.pp_base)[0]:
-            vm[i + 1] = math.log(int(table.pp_base[i]))
+        ns, logs = prime_powers_upto(x)
+        vm = np.zeros(x + 1)
+        vm[ns] = logs
+        vm = vm.tolist()
         roots = [np.exp(2j * np.pi * j / 3) for j in range(3)]
         return (lambda m, n: vm[n] * roots[(m * n) % 3]), False
     raise DomainError(f"unknown catalog function {name}")

@@ -24,7 +24,7 @@ from siegelscan import (
     tau_chi,
     tau_chi_table,
 )
-from siegelscan.sieve import divisor_accumulate, shared_sieve
+from siegelscan.sieve import divisor_accumulate, prime_powers_upto, shared_sieve
 
 
 def brute_arith(n):
@@ -66,27 +66,15 @@ def test_primes_upto_frozen():
 
 
 def test_table_against_factorization_low_range():
-    t = build_sieve(1, 500)
-    assert t.omega_of(1) == 0
-    assert t.liouville(1) == 1
-    assert t.von_mangoldt(1) == 0.0
-    for n in range(2, 501):
-        om, lam, base = brute_arith(n)
-        assert t.omega_of(n) == om, n
-        assert t.liouville(n) == lam, n
-        vm = math.log(base) if base else 0.0
-        assert abs(t.von_mangoldt(n) - vm) < 1e-15, n
-
-
-def test_table_against_factorization_high_segment():
     lo = 10**5
-    t = build_sieve(lo, lo + 300)
-    for n in range(lo, lo + 301):
-        om, lam, base = brute_arith(n)
-        assert t.omega_of(n) == om, n
-        assert t.liouville(n) == lam, n
-        vm = math.log(base) if base else 0.0
-        assert abs(t.von_mangoldt(n) - vm) < 1e-12, n
+    for t, ns in ((build_sieve(500), range(2, 501)), (build_sieve(lo + 300), range(lo, lo + 301))):
+        assert t.omega[0] == 0 and t.lambda_sign[0] == 0 and t.pp_base[0] == 0
+        assert t.omega[1] == 0 and t.lambda_sign[1] == 1 and t.pp_base[1] == 0
+        for n in ns:
+            om, lam, base = brute_arith(n)
+            assert t.omega[n] == om, n
+            assert t.lambda_sign[n] == lam, n
+            assert t.pp_base[n] == base, n
 
 
 def test_liouville_first_values():
@@ -95,42 +83,51 @@ def test_liouville_first_values():
 
 
 def test_von_mangoldt_points():
-    t = build_sieve(1, 20)
-    assert abs(t.von_mangoldt(8) - math.log(2)) < 1e-15
-    assert abs(t.von_mangoldt(9) - math.log(3)) < 1e-15
-    assert t.von_mangoldt(6) == 0.0
-    assert abs(t.von_mangoldt(7) - math.log(7)) < 1e-15
-
-
-def test_segment_independence():
-    whole = build_sieve(1, 2000)
-    part = build_sieve(800, 1500)
-    view = whole.slice(800, 1500)
-    assert np.array_equal(view.omega, part.omega)
-    assert np.array_equal(view.lambda_sign, part.lambda_sign)
-    assert np.array_equal(view.pp_base, part.pp_base)
-
-
-def test_slice_is_a_view_and_bounds_checked():
-    t = build_sieve(1, 100)
-    s = t.slice(10, 20)
-    assert s.lo == 10 and s.hi == 20
-    assert s.omega_of(16) == t.omega_of(16)
-    with pytest.raises(DomainError):
-        s.omega_of(9)
-    with pytest.raises(DomainError):
-        s.omega_of(21)
-    with pytest.raises(DomainError):
-        t.slice(0, 10)
+    t = build_sieve(20)
+    assert t.pp_base[8] == 2
+    assert t.pp_base[9] == 3
+    assert t.pp_base[6] == 0
+    assert t.pp_base[7] == 7
 
 
 def test_build_sieve_domain_and_capacity():
+    from siegelscan.primes import DEFAULT_MAX_WIDTH
+
     with pytest.raises(DomainError):
-        build_sieve(0, 10)
-    with pytest.raises(DomainError):
-        build_sieve(10, 5)
+        build_sieve(0)
+    # the guard fires before any allocation
     with pytest.raises(CapacityError):
-        build_sieve(1, 10**7, max_width=10**6)
+        build_sieve(DEFAULT_MAX_WIDTH + 1)
+
+
+def test_shared_prefixes_and_prime_power_reader():
+    from siegelscan import sieve
+
+    ref = build_sieve(300)
+
+    def assert_like_ref(t):
+        assert t.hi == 300
+        for col in ("omega", "lambda_sign", "pp_base"):
+            assert np.array_equal(getattr(t, col), getattr(ref, col)), col
+
+    sieve._shared.clear()  # start from an empty cache, whatever ran before
+    shared_sieve(2000)
+    assert_like_ref(shared_sieve(300))
+    shared_sieve(5000)
+    assert sieve._shared[0].hi == 5000
+    assert_like_ref(shared_sieve(300))
+
+    # liouville_table hands out a copy, never a view of the shared table
+    lam = liouville_table(300)
+    lam[:] = 7
+    assert np.array_equal(shared_sieve(300).lambda_sign, ref.lambda_sign)
+
+    for hi in (1, 2, 9, 300, 2000):
+        brute = [(n, p) for n in range(2, hi + 1) if (p := brute_arith(n)[2])]
+        ns, vm = prime_powers_upto(hi)
+        assert ns.tolist() == [n for n, _ in brute], hi
+        assert vm.dtype == np.float64
+        assert vm.tolist() == [np.log(np.float64(p)) for _, p in brute], hi
 
 
 def test_divisor_lambda_sum_is_square_indicator():
@@ -222,23 +219,18 @@ def test_psi_u_example():
 
 
 def test_psi_u_brute_force():
-    t = shared_sieve(400)
+    def vm(n):
+        base = brute_arith(n)[2]
+        return math.log(base) if base else 0.0
+
     for d in (-4, 5):
         D = FundamentalDiscriminant(d)
         for z, u in ((400, 1.0), (377.5, 10.0), (250, 249.0)):
             brute = sum(
-                t.von_mangoldt(n) * chi_eval(D, n)
+                vm(n) * chi_eval(D, n)
                 for n in range(math.floor(u) + 1, math.floor(z) + 1)
             )
             assert abs(psi_u(D, z, u) - brute) < 1e-10, (d, z, u)
-
-
-def test_psi_u_accepts_explicit_table():
-    D = FundamentalDiscriminant(-4)
-    t = build_sieve(1, 1000)
-    assert psi_u(D, 900, 2, table=t) == psi_u(D, 900, 2)
-    with pytest.raises(DomainError):
-        psi_u(D, 900, 2, table=build_sieve(1, 100))  # table too short
 
 
 def test_psi_u_domain():
