@@ -65,16 +65,23 @@ def test_primes_upto_frozen():
     assert primes_upto(2).tolist() == [2]
 
 
+def check_table_against_factorization(t, ns):
+    assert t.omega[0] == 0 and t.lambda_sign[0] == 0 and t.pp_base[0] == 0
+    assert t.omega[1] == 0 and t.lambda_sign[1] == 1 and t.pp_base[1] == 0
+    for n in ns:
+        om, lam, base = brute_arith(n)
+        assert t.omega[n] == om, n
+        assert t.lambda_sign[n] == lam, n
+        assert t.pp_base[n] == base, n
+
+
 def test_table_against_factorization_low_range():
+    check_table_against_factorization(build_sieve(500), range(2, 501))
+
+
+def test_table_against_factorization_high_segment():
     lo = 10**5
-    for t, ns in ((build_sieve(500), range(2, 501)), (build_sieve(lo + 300), range(lo, lo + 301))):
-        assert t.omega[0] == 0 and t.lambda_sign[0] == 0 and t.pp_base[0] == 0
-        assert t.omega[1] == 0 and t.lambda_sign[1] == 1 and t.pp_base[1] == 0
-        for n in ns:
-            om, lam, base = brute_arith(n)
-            assert t.omega[n] == om, n
-            assert t.lambda_sign[n] == lam, n
-            assert t.pp_base[n] == base, n
+    check_table_against_factorization(build_sieve(lo + 300), range(lo, lo + 301))
 
 
 def test_liouville_first_values():
