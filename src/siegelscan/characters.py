@@ -157,11 +157,16 @@ def _period(d: int) -> np.ndarray:
         leg[r] = 1
         leg[0] = 0
         vals *= np.tile(leg, q // p)
+    vals.flags.writeable = False
     return vals
 
 
 def chi_period(D: FundamentalDiscriminant) -> np.ndarray:
-    """chi over one period: an int8 array a with a[n % q] = chi(n)."""
+    """chi over one period: an int8 array a with a[n % q] = chi(n).
+
+    The array is the cached one, shared by every caller in the process, and
+    read-only: a write into it raises ValueError.
+    """
     return _period(D.d)
 
 

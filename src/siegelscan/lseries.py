@@ -21,7 +21,10 @@ chi(r) != 0, O(q) work whatever x (_chi_over_n_by_periods).  This is the
 L(1) at x^2 inside the rearranged route, so it is most of a scan row at
 large q: skipping the q - phi(q) residues with chi(r) = 0 took the period
 sums of the 20 discriminants near |d| = 2e5 at x = 2.5e5^2 from 105 to
-66 ms on a 2-vCPU host, with the same values bit for bit.
+66 ms on a 2-vCPU host, with the same values bit for bit.  The digamma is
+the module's own, _digamma_pair: a port of scipy's (Cephes') psi, run in
+chunks through reused buffers, so that numpy is the one runtime dependency.
+Importing scipy.special was about 0.33 s and 25 MiB of every start-up.
 
 All three length-x sums have the form sum_{n<=x} chi(n) w(n) with weights
 (1/n, log(n)/n, H(floor(x/n))/n) that do not depend on d.  The weights are
@@ -75,7 +78,6 @@ from functools import lru_cache, wraps
 from typing import Callable
 
 import numpy as np
-from scipy.special import digamma
 
 from .characters import FundamentalDiscriminant, chi_period, chi_values_up_to
 from .errors import CapacityError, ContractError, DomainError
@@ -140,6 +142,8 @@ class _WeightCache:
     every d when each kind had its own two-entry LRU.  The least recently
     used arrays are dropped first to make room, and an array larger than
     the whole budget is returned but not held.  misses counts the builds.
+    Every array it returns is read-only, so that no caller can change the
+    weights that later calls read.
     """
 
     def __init__(self, budget: int) -> None:
@@ -160,6 +164,7 @@ class _WeightCache:
                 return w
             self.misses += 1
             w = build(x)
+            w.flags.writeable = False
             if w.nbytes <= self.budget:
                 while self.nbytes + w.nbytes > self.budget:
                     self.nbytes -= self._held.popitem(last=False)[1].nbytes
@@ -280,6 +285,127 @@ def _chi_over_n_partial(D: FundamentalDiscriminant, x: int) -> float:
     return _chi_over_n_by_periods(D, x)
 
 
+# scipy.special.digamma at x > 0 is Cephes' psi.  Its rational approximation
+# on [1, 2] is Boost's (John Maddock, 2006, Boost Software License 1.0):
+# psi(x) = g Y + g P(x - 1)/Q(x - 1), where g = x - root is taken off in
+# three parts, root = 1.4616... being the positive zero of psi.  Y is a
+# float32 constant in the C source, widened to double; its literal is a
+# float32 value already (0x1.fdbcep-1), so the widening changes no bit.
+_PSI_Y = float(np.float32(0.99558162689208984))
+_PSI_ROOT1 = 1569415565.0 / 1073741824.0
+_PSI_ROOT2 = (381566830.0 / 1073741824.0) / 1073741824.0
+_PSI_ROOT3 = 0.9016312093258695918615325266959189453125e-19
+_PSI_P = (
+    -0.0020713321167745952,
+    -0.045251321448739056,
+    -0.28919126444774784,
+    -0.65031853770896507,
+    -0.32555031186804491,
+    0.25479851061131551,
+)
+_PSI_Q = (
+    -0.55789841321675513e-6,
+    0.0021284987017821144,
+    0.054151797245674225,
+    0.43593529692665969,
+    1.4606242909763515,
+    2.0767117023730469,
+    1.0,
+)
+# Cephes' asymptotic series for x >= 10: psi(x) = log x - 0.5/x - z A(z),
+# z = 1/x^2, with the z A(z) term dropped from x = 1e17 on.
+_PSI_A = (
+    8.33333333333333333333e-2,
+    -2.10927960927960927961e-2,
+    7.57575757575757575758e-3,
+    -4.16666666666666666667e-3,
+    3.96825396825396825397e-3,
+    -8.33333333333333333333e-3,
+    8.33333333333333333333e-2,
+)
+_PSI_ASY_CUT = 1e17
+# Elements per pass of _digamma_pair: its five scratch rows (640 KiB) stay
+# in a 2 MiB L2 cache.  Whole-array passes over phi(q) elements were slower
+# than scipy, and passes of 4096 elements only as fast, on a 2-vCPU host.
+_PSI_CHUNK = 2**14
+
+
+def _polevl(z: np.ndarray, coef: tuple[float, ...], out: np.ndarray) -> np.ndarray:
+    """coef[0] z^N + ... + coef[N] by Horner's rule into out, as Cephes' polevl."""
+    np.multiply(z, coef[0], out)
+    np.add(out, coef[1], out)
+    for c in coef[2:]:
+        np.multiply(out, z, out)
+        np.add(out, c, out)
+    return out
+
+
+def _psi_1_2(x: np.ndarray, out: np.ndarray, s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """psi(x) for x in [1, 2] into out (Cephes' digamma_imp_1_2); s, g scratch."""
+    np.subtract(x, 1.0, g)
+    _polevl(g, _PSI_P, out)
+    np.divide(out, _polevl(g, _PSI_Q, s), out)
+    np.subtract(x, _PSI_ROOT1, g)
+    np.subtract(g, _PSI_ROOT2, g)
+    np.subtract(g, _PSI_ROOT3, g)
+    np.multiply(g, _PSI_Y, s)
+    np.multiply(g, out, out)
+    return np.add(s, out, out)
+
+
+def _digamma_pair(K: int, t: np.ndarray) -> np.ndarray:
+    """psi(K + t) - psi(t) for an int K >= 1 and float64 t in (0, 1).
+
+    Each psi follows Cephes' psi, which scipy.special.digamma runs at
+    x > 0, operation for operation:
+      - psi(t) = -1/t + R(t + 1), R the rational approximation on [1, 2];
+      - for K <= 9, psi(K + t) takes x -= 1, y += 1/x down to (1, 2), then R;
+      - for K >= 10, the asymptotic series, without z A(z) once x >= 1e17
+        (where x*x would also overflow near 1e154).
+    Cephes' branch for an integer x <= 10 never runs: t = r/q with q <= 2^26
+    is at least 2^-26 from 0 and from 1, far above an ulp of K + t.  Every
+    operation is an IEEE one that numpy rounds as C does, except np.log,
+    which may differ from libm's log in the last bit (see
+    _chi_over_n_by_periods).  The work goes in chunks of _PSI_CHUNK
+    elements through reused scratch rows.
+    """
+    n = t.size
+    out = np.empty(n, dtype=np.float64)
+    m = min(n, _PSI_CHUNK)
+    rows = np.empty((5, m), dtype=np.float64)
+    Kf = float(K)
+    # K + t rounds into [Kf, Kf + 1], and the floats next to 1e17 are 16
+    # apart, so x >= 1e17 holds for every t exactly when Kf >= 1e17.
+    series = Kf < _PSI_ASY_CUT
+    for lo in range(0, n, m):
+        k = min(m, n - lo)
+        tc = t[lo : lo + k]
+        x, y, a, b, c = (row[:k] for row in rows)
+        res = out[lo : lo + k]
+        # psi(t)
+        np.divide(-1.0, tc, res)
+        np.add(tc, 1.0, x)
+        np.add(res, _psi_1_2(x, a, b, c), res)
+        # psi(K + t), into a
+        np.add(tc, Kf, x)
+        if K >= 10:
+            np.log(x, a)
+            np.subtract(a, np.divide(0.5, x, b), a)
+            if series:
+                np.multiply(x, x, b)
+                np.divide(1.0, b, b)
+                np.multiply(b, _polevl(b, _PSI_A, c), c)
+                np.subtract(a, c, a)
+        else:
+            a.fill(0.0)
+            for _ in range(K - 1):
+                np.subtract(x, 1.0, x)
+                np.add(a, np.divide(1.0, x, b), a)
+            np.add(a, _psi_1_2(x, b, c, y), a)
+        np.subtract(a, res, res)
+    return out
+
+
 def _chi_over_n_by_periods(D: FundamentalDiscriminant, x: int) -> float:
     """sum_{n<=x} chi(n)/n grouped into complete periods, in O(q) work.
 
@@ -296,6 +422,14 @@ def _chi_over_n_by_periods(D: FundamentalDiscriminant, x: int) -> float:
     change a nonzero sum.  The tail denominators are built in float64, so a
     huge x cannot overflow an integer; float(K q) + r is exact, and the
     value equals an int64 build bit for bit, for every x <= 2^53.
+
+    The digamma pair comes from _digamma_pair, which repeats the operations
+    of scipy.special.digamma.  Its one difference is np.log, used for
+    psi(K + t) at K >= 10: on an AVX-512 host numpy's vectorised log
+    differs from libm's log in the last bit on about 1e-4 of arguments.
+    Over the fundamental |d| <= 1e4 at x = 1e12, that moved one L(1) of
+    6086 by one ulp: d = -4479 gives 3.285922994097901 with scipy and
+    3.2859229940979016 here.  The scan CSV did not change.
     """
     q = D.q
     per = chi_period(D)
@@ -304,7 +438,7 @@ def _chi_over_n_by_periods(D: FundamentalDiscriminant, x: int) -> float:
     nz = np.flatnonzero(ch)
     t = (nz + 1) / q
     terms = np.zeros(q, dtype=np.float64)
-    terms[nz] = ch[nz] * (digamma(K + t) - digamma(t))
+    terms[nz] = ch[nz] * _digamma_pair(K, t)
     main = float(np.sum(terms)) / q
     den = float(K * q) + np.arange(1, R + 1, dtype=np.float64)
     return main + float(np.sum(per[1 : R + 1] / den))

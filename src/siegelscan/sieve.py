@@ -97,9 +97,16 @@ _shared: list[SieveTable] = []
 
 
 def shared_sieve(hi: int) -> SieveTable:
-    """A table over [1, hi]: a prefix (views) of one cached table."""
+    """A table over [1, hi]: a prefix (views) of one cached table.
+
+    The cached arrays are read-only, and so are the views: a write into
+    them raises ValueError instead of changing every later result.
+    """
     if not (_shared and 1 <= hi <= _shared[0].hi):
-        _shared[:] = [build_sieve(hi)]
+        t = build_sieve(hi)
+        for a in (t.omega, t.lambda_sign, t.pp_base):
+            a.flags.writeable = False
+        _shared[:] = [t]
     t = _shared[0]
     n = hi + 1
     return SieveTable(hi, t.omega[:n], t.lambda_sign[:n], t.pp_base[:n])

@@ -19,7 +19,6 @@ cannot cancel.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -796,6 +795,8 @@ def scan_discriminants(d_lo: int, d_hi: int, x: float, jobs: int = 1) -> list[Sc
     if jobs == 1 or len(args) < 4:
         rows = [_scan_one(a) for a in args]
     else:
+        import multiprocessing  # here, not at the top: 6-10 ms of every start-up
+
         chunk = max(1, len(args) // (8 * jobs))
         with multiprocessing.Pool(processes=jobs) as pool:
             rows = pool.map(_scan_one, args, chunksize=chunk)

@@ -180,6 +180,18 @@ def test_chi_values_up_to_tiles_the_period(d):
         assert np.array_equal(chi_period(D), period), (d, x)
 
 
+def test_chi_period_is_read_only():
+    D = FundamentalDiscriminant(-84)
+    period = chi_period(D).copy()
+    with pytest.raises(ValueError):
+        chi_period(D)[1] = 7
+    with pytest.raises(ValueError):
+        chi_period(D)[:] *= -1
+    assert np.array_equal(chi_period(D), period)
+    vals = chi_values_up_to(D, 3 * D.q)
+    assert [int(v) for v in vals[1:]] == [chi_eval(D, n) for n in range(1, 3 * D.q + 1)]
+
+
 def test_full_period_sums_to_zero():
     for D in enumerate_fundamentals(-100, 100):
         assert int(np.sum(chi_period(D).astype(np.int64))) == 0, D.d

@@ -186,7 +186,8 @@ def test_out_of_range_counts_exit_two(argv, capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr("siegelscan.verify.multiprocessing.Pool", no_pool)
+    # verify imports multiprocessing only where it starts a pool
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
     assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
 
@@ -311,6 +312,22 @@ def test_library_does_not_import_cli():
         )
         assert proc.stderr == "", (module, proc.stderr)
         assert_l_one_minus_3(proc)
+
+
+def test_cli_import_leaves_scipy_and_multiprocessing_unloaded():
+    # numpy is the one runtime dependency; scipy and multiprocessing cost a
+    # start-up that most runs never use
+    pkg_home = pathlib.Path(siegelscan.__file__).resolve().parents[1]
+    code = (
+        "import sys, siegelscan.cli; "
+        "print(sorted(m for m in ('scipy', 'multiprocessing') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(pkg_home)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.skipif(

@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import mpmath
@@ -688,6 +689,101 @@ def test_l_one_takes_the_period_route_above_the_direct_limit():
     assert l_one(D, x).value == period_sum_reference(D, x)
 
 
+# ------------------------------------------------- the in-package digamma
+
+
+def units_over(q, step=1):
+    """t = r/q for the units r mod q, every step-th r, and r = 1, 2, q-2, q-1."""
+    r = np.union1d(np.arange(1, q, step), [1, 2, q - 2, q - 1])
+    return r[np.gcd(r, q) == 1] / q
+
+
+DIGAMMA_QS = [(3, 1), (4, 1), (8, 1), (24, 1), (293, 1), (1009, 1), (200003, 1)]
+DIGAMMA_QS += [(2**26 - 5, 997)]  # a prime near the period cap, subsampled
+
+
+def cephes_psi_asy(x, log):
+    """Cephes' psi for x >= 10 in Python floats, with log(x) supplied."""
+    y = 0.0
+    if x < 1e17:
+        z = 1.0 / (x * x)
+        p = lseries._PSI_A[0]
+        for c in lseries._PSI_A[1:]:
+            p = p * z + c
+        y = z * p
+    return log - 0.5 / x - y
+
+
+def assert_pair_matches_scipy(K, t):
+    """_digamma_pair(K, t) == scipy's digamma(K + t) - digamma(t), but for np.log.
+
+    The port's one operation that may round differently from scipy's is
+    np.log, in the series for K >= 10.  Where np.log(K + t) equals
+    math.log(K + t) the pair must equal scipy's.  Elsewhere the two logs
+    must be one ulp apart, and the pair must equal Cephes' series evaluated
+    with np.log's value, the same series with math.log being scipy's.
+    """
+    got = lseries._digamma_pair(K, t)
+    x = K + t
+    psi_x, psi_t = digamma(x), digamma(t)
+    if K < 10:
+        assert np.array_equal(got, psi_x - psi_t), K
+        return
+    np_log = np.log(x)
+    libm_log = np.array([math.log(v) for v in x.tolist()])
+    same = np_log == libm_log
+    assert same.mean() > 0.99, K
+    assert np.array_equal(got[same], (psi_x - psi_t)[same]), K
+    for i in np.flatnonzero(~same).tolist():
+        v = float(x[i])
+        assert abs(np_log[i] - libm_log[i]) == np.spacing(libm_log[i]), v
+        assert cephes_psi_asy(v, libm_log[i]) == psi_x[i], v
+        assert got[i] == cephes_psi_asy(v, np_log[i]) - psi_t[i], v
+
+
+@pytest.mark.parametrize("q, step", DIGAMMA_QS)
+def test_digamma_pair_recurrence_branch_equals_scipy(q, step):
+    # K <= 9 goes down to (1, 2] by x -= 1, y += 1/x: no log, every bit equal
+    t = units_over(q, step)
+    for K in range(1, 10):
+        assert np.array_equal(lseries._digamma_pair(K, t), digamma(K + t) - digamma(t)), K
+
+
+@pytest.mark.parametrize("K", [10, 11, 1000, 312496, 10**16])
+def test_digamma_pair_series_branch_equals_scipy(K):
+    for q, step in DIGAMMA_QS:
+        assert_pair_matches_scipy(K, units_over(q, step))
+
+
+@pytest.mark.parametrize("K", [10**17, 10**300])
+def test_digamma_pair_past_the_series_cut(K):
+    # the z A(z) term is dropped, so x*x (1e600 at K = 1e300) is never formed
+    t = units_over(1009)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert_pair_matches_scipy(K, t)
+
+
+def test_psi_on_one_two_equals_scipy():
+    # digamma_imp_1_2 on its own: near its zero 1.4616... the third part of
+    # the root decides the low bits, which the pair's larger values hide
+    root = lseries._PSI_ROOT1 + lseries._PSI_ROOT2
+    near = [root]
+    for _ in range(64):
+        near = [np.nextafter(near[0], 0.0)] + near + [np.nextafter(near[-1], 2.0)]
+    x = np.concatenate([1.0 + units_over(200003), np.linspace(1.0, 2.0, 4097), near])
+    buf = np.empty((3, x.size))
+    assert np.array_equal(lseries._psi_1_2(x, *buf), digamma(x))
+
+
+def test_digamma_pair_chunks_do_not_change_values(monkeypatch):
+    t = units_over(200003)
+    whole = lseries._digamma_pair(1000, t)
+    for chunk in (1, 7, 4096):
+        monkeypatch.setattr(lseries, "_PSI_CHUNK", chunk)
+        assert np.array_equal(lseries._digamma_pair(1000, t[:5000]), whole[:5000]), chunk
+
+
 def test_weight_cache_builds_each_array_once_within_budget():
     # d-major over x = 1e4, 1e5, 1e6 with L(1) and L'(1) at 1e7, as
     # TAU_LOG_GRID runs; per-kind two-entry LRUs built 1/n 20 times here
@@ -738,6 +834,24 @@ def test_weight_cache_evicts_by_bytes_and_skips_oversized(monkeypatch):
         assert cache.misses - misses == 5
     finally:
         cache.clear()
+
+
+def test_weight_arrays_are_read_only():
+    x = 1000
+    ns = np.arange(1, x + 1, dtype=np.float64)
+    for build, ref in (
+        (lseries._inv_n, 1.0 / ns),
+        (lseries._log_over_n, np.log(ns) / ns),
+    ):
+        with pytest.raises(ValueError):
+            build(x)[0] = 7.0
+        with pytest.raises(ValueError):
+            build(x)[:] *= 2.0
+        assert np.array_equal(build(x), ref), build.__name__
+    w = lseries._tau_weights(x).copy()
+    with pytest.raises(ValueError):
+        lseries._tau_weights(x)[-1] = 0.0
+    assert np.array_equal(lseries._tau_weights(x), w)
 
 
 @pytest.mark.parametrize("x", [1, 2, 4096, 100003])

@@ -137,6 +137,28 @@ def test_shared_prefixes_and_prime_power_reader():
         assert vm.tolist() == [np.log(np.float64(p)) for _, p in brute], hi
 
 
+def test_shared_sieve_is_read_only():
+    from siegelscan import sieve
+
+    ref = build_sieve(300)
+    ns_ref = np.nonzero(ref.pp_base)[0]
+    vm_ref = np.log(ref.pp_base[ns_ref].astype(np.float64))
+    sieve._shared.clear()
+    shared_sieve(2000)
+    for t in (shared_sieve(300), sieve._shared[0]):
+        for col in ("omega", "lambda_sign", "pp_base"):
+            with pytest.raises(ValueError):
+                getattr(t, col)[2] = 0
+            with pytest.raises(ValueError):
+                getattr(t, col)[:] += 1
+    t = shared_sieve(300)
+    for col in ("omega", "lambda_sign", "pp_base"):
+        assert np.array_equal(getattr(t, col), getattr(ref, col)), col
+    assert np.array_equal(liouville_table(300), ref.lambda_sign)
+    ns, vm = prime_powers_upto(300)
+    assert np.array_equal(ns, ns_ref) and np.array_equal(vm, vm_ref)
+
+
 def test_divisor_lambda_sum_is_square_indicator():
     for m in range(1, 2000):
         want = 1 if math.isqrt(m) ** 2 == m else 0
