@@ -15,21 +15,26 @@ L(1, chi) truncated at x^2 so its own error stays below that envelope.
 Every bound covers the truncation only, not floating-point rounding (see
 LValueEstimate).
 
-Above _DIRECT_LIMIT, sum_{n<=x} chi(n)/n is grouped into complete periods
-and evaluated through the digamma function at the phi(q) residues r with
-chi(r) != 0, O(q) work whatever x (_chi_over_n_by_periods).  This is the
-L(1) at x^2 inside the rearranged route, so it is most of a scan row at
-large q: skipping the q - phi(q) residues with chi(r) = 0 took the period
-sums of the 20 discriminants near |d| = 2e5 at x = 2.5e5^2 from 105 to
-66 ms on a 2-vCPU host, with the same values bit for bit.  The digamma is
-the module's own, _digamma_pair: a port of scipy's (Cephes') psi, run in
-chunks through reused buffers, so that numpy is the one runtime dependency.
-Importing scipy.special was about 0.33 s and 25 MiB of every start-up.
+sum_{n<=x} chi(n)/n takes the cheaper of two routes, which compute the
+same truncated series and differ only in rounding (_chi_over_n_partial).
+Once x >= _PERIOD_K0 q, and always above _DIRECT_LIMIT, it is grouped into
+complete periods and evaluated through the digamma function at the phi(q)
+residues r with chi(r) != 0, O(q) work whatever x (_chi_over_n_by_periods).
+Below that, the literal sum of x terms is cheaper.  The period route gives
+the L(1) at x^2 inside the rearranged route, and the scan's L(1) at x
+whenever x >= 32 q: at q <= 300 it takes 0.05 to 0.1 ms, where the literal
+sum took 1.2 to 1.4 ms at x = 1e6 and 13 to 19 ms at x = 1e7 on a 2-vCPU
+host.  At large q, skipping the q - phi(q) residues with chi(r) = 0 took the
+period sums of the 20 discriminants near |d| = 2e5 at x = 2.5e5^2 from 105
+to 66 ms, with the same values bit for bit.  The digamma is the module's
+own, _digamma_pair: a port of scipy's (Cephes') psi, run in chunks through
+reused buffers, so that numpy is the one runtime dependency.  Importing
+scipy.special was about 0.33 s and 25 MiB of every start-up.
 
 All three length-x sums have the form sum_{n<=x} chi(n) w(n) with weights
 (1/n, log(n)/n, H(floor(x/n))/n) that do not depend on d.  The weights are
-cached per x in one cache bounded in bytes (_WEIGHTS: three float64 arrays
-at the direct limit, least recently used out first).  One kernel,
+cached per x in one cache bounded in bytes (_WEIGHTS, least recently used
+out first).  One kernel,
 _chi_weighted_sum, sums the products leaf by leaf along the pairwise tree
 that np.sum itself would run over the whole length-x product: each leaf of
 at most 2^15 terms is multiplied into one reused scratch buffer and summed
@@ -111,6 +116,13 @@ EULER_GAMMA = 0.57721566490153286
 # (digamma identity) instead of literal term-by-term summation.
 _DIRECT_LIMIT = 2 * 10**7
 
+# From x >= _PERIOD_K0 q on, sum_{n<=x} chi(n)/n is taken by complete periods
+# at any x.  Min of 9 runs at x = K q + q/3 on a 2-vCPU host, the literal
+# sum against warm weights: the period route was slower at K = 8 for every q
+# and won from some K between 16 and 32 on at q >= 1e4 (at q = 2e5, K = 32:
+# 12.1 ms literal, 5.6 ms by periods).  At q <= 3000 both stay below 0.3 ms.
+_PERIOD_K0 = 32
+
 # Calibrated constant of the tau-identity error term c q^{1/4} x^{-1/2} log x.
 _TAU_C_CAL = 10.0
 
@@ -179,9 +191,11 @@ class _WeightCache:
         self.nbytes = 0
 
 
-# Three float64 arrays at the direct limit: 1/n next to log(n)/n or to the
-# tau weights at any x the direct route takes, with room for the smaller x
-# of a verify suite.
+# Three float64 arrays at the direct limit (480 MB): 1/n next to log(n)/n or
+# to the tau weights at any x the direct routes take, with room for the
+# smaller x of a verify suite.  L(1) reads 1/n only below _PERIOD_K0 q, so
+# the reference L(1) at 1e7 in verify (every q there is below 1e7 / 32) no
+# longer builds it at 1e7; the tau weights at x still read it at x.
 _WEIGHTS = _WeightCache(3 * 8 * _DIRECT_LIMIT)
 
 
@@ -191,11 +205,26 @@ def _inv_n(x: int) -> np.ndarray:
     return np.divide(1.0, a, out=a)
 
 
+# Entries per pass of _log_over_n: its log buffer (512 KiB) stays in L2.
+_LOG_CHUNK = 2**16
+
+
 @_WEIGHTS
 def _log_over_n(x: int) -> np.ndarray:
-    ns = np.arange(1, x + 1, dtype=np.float64)
-    out = np.log(ns)
-    return np.divide(out, ns, out=out)
+    """log(n)/n for n <= x, built in place in one length-x array.
+
+    np.log and the divide go chunk by chunk through one reused buffer of
+    _LOG_CHUNK entries, not through a second length-x array; each entry is
+    the same log(n) rounded, then divided by n, as in np.log(ns) / ns.
+    """
+    out = np.arange(1, x + 1, dtype=np.float64)
+    buf = np.empty(min(x, _LOG_CHUNK), dtype=np.float64)
+    for lo in range(0, x, _LOG_CHUNK):
+        ns = out[lo : lo + _LOG_CHUNK]
+        logs = buf[: ns.size]
+        np.log(ns, out=logs)
+        np.divide(logs, ns, out=ns)
+    return out
 
 
 @_WEIGHTS
@@ -275,14 +304,16 @@ def _direct_chi_log_over_n(D: FundamentalDiscriminant, X: int) -> float:
 
 
 def _chi_over_n_partial(D: FundamentalDiscriminant, x: int) -> float:
-    """sum_{n<=x} chi(n)/n exactly as written (up to rounding).
+    """sum_{n<=x} chi(n)/n exactly as written (up to rounding), by the cheaper route.
 
-    Literal summation up to _DIRECT_LIMIT, by _chi_weighted_sum and memoised
-    by (d, x); above it, by complete periods (_chi_over_n_by_periods).
+    By complete periods (_chi_over_n_by_periods, O(q)) once x >= _PERIOD_K0 q
+    or x > _DIRECT_LIMIT; otherwise literally, by _chi_weighted_sum (O(x))
+    and memoised by (d, x).  Both routes sum the same x terms and differ
+    only in rounding: against 40-digit values both were within 1e-15.
     """
-    if x <= _DIRECT_LIMIT:
-        return _direct_chi_over_n(D, x)
-    return _chi_over_n_by_periods(D, x)
+    if x >= _PERIOD_K0 * D.q or x > _DIRECT_LIMIT:
+        return _chi_over_n_by_periods(D, x)
+    return _direct_chi_over_n(D, x)
 
 
 # scipy.special.digamma at x > 0 is Cephes' psi.  Its rational approximation
@@ -453,7 +484,11 @@ def _check_truncation(x: float, q: int) -> None:
 
 
 def l_one(D: FundamentalDiscriminant, x: float) -> LValueEstimate:
-    """Truncated L(1, chi) = sum_{n<=x} chi(n)/n with tail bound sqrt(q) log(q)/x."""
+    """Truncated L(1, chi) = sum_{n<=x} chi(n)/n with tail bound sqrt(q) log(q)/x.
+
+    The sum runs by complete periods in O(q) once x >= _PERIOD_K0 q, and
+    term by term below (_chi_over_n_partial); method is "direct" either way.
+    """
     q = D.q
     _check_truncation(x, q)
     value = _chi_over_n_partial(D, math.floor(x))

@@ -21,8 +21,8 @@ from .errors import DomainError
 
 __all__ = ["DEFAULT_MAX_WIDTH", "RANGE_LIMIT", "primes_upto", "factorize"]
 
-# Default cap on a single array: 2^26 entries.  build_sieve holds about 29
-# bytes per entry while it runs (tracemalloc peak at 1e6), so ~1.9 GB at 2^26.
+# Default cap on a single array: 2^26 entries.  build_sieve holds about 18
+# bytes per entry while it runs (tracemalloc peak at 1e6), so ~1.2 GB at 2^26.
 # Desk-scale work tops out at 1e7.
 DEFAULT_MAX_WIDTH = 1 << 26
 

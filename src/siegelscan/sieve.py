@@ -61,14 +61,17 @@ def build_sieve(hi: int) -> SieveTable:
     Each prime power pk <= hi contributes one slice pass: Omega gains 1 on
     multiples of pk, and the tracked cofactor is divided by p once per level,
     so after all passes the cofactor is the part of n built from primes above
-    sqrt(hi) (always 1 or a single prime).
+    sqrt(hi) (always 1 or a single prime).  n and the cofactor are int32,
+    which holds every n up to DEFAULT_MAX_WIDTH = 2^26; only the returned
+    base column is int64.  The build holds about 18 bytes per entry at its
+    peak (tracemalloc: 17.5 MiB at hi = 1e6, against 27.7 MiB with int64).
     """
     if not (1 <= hi <= RANGE_LIMIT):
         raise DomainError(f"need 1 <= hi <= 2^40, got {hi}")
     if hi > DEFAULT_MAX_WIDTH:
         raise CapacityError(f"sieve length {hi} exceeds budget {DEFAULT_MAX_WIDTH}")
 
-    ns = np.arange(hi + 1, dtype=np.int64)
+    ns = np.arange(hi + 1, dtype=np.int32)
     rem = ns.copy()
     omega = np.zeros(hi + 1, dtype=np.uint8)
     ppb = np.zeros(hi + 1, dtype=np.int64)
@@ -82,10 +85,11 @@ def build_sieve(hi: int) -> SieveTable:
             ppb[pk] = p
             pk *= p
 
-    big = rem > 1  # one prime factor above sqrt(hi) survives
-    omega[big] += 1
-    prime_left = (rem == ns) & (ns > 1)
+    omega += rem > 1  # one prime factor above sqrt(hi) survives
+    prime_left = rem == ns
+    prime_left[:2] = False
     ppb[prime_left] = ns[prime_left]
+    del ns, rem, prime_left  # freed before the Liouville column: a lower peak
 
     lam = np.where(omega & 1, np.int8(-1), np.int8(1))
     lam[0] = 0

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import siegelscan
-from siegelscan.cli import main, write_scan_csv
+from siegelscan.cli import build_parser, main, write_scan_csv
 from siegelscan.verify import ScanRow, scan_discriminants
 
 
@@ -383,6 +383,28 @@ def test_scan_csv_round_trip():
     buf2 = io.StringIO()
     write_scan_csv(parsed, buf2)
     assert buf2.getvalue() == text
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("workload", ["scan-small-q", "scan-large-q"])
+def test_scan_csv_equals_benchmark_reference(workload, monkeypatch):
+    # the quick windows of the benchmark's scan workloads, call by call as
+    # perfbench/run.py makes them, must print its reference CSV byte for byte
+    import importlib.util
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py inserts src
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    wl = run.make_workload(workload, 0, True)
+    buf = io.StringIO()
+    for argv in wl.calls():
+        args = build_parser().parse_args(argv)
+        write_scan_csv(scan_discriminants(args.dmin, args.dmax, args.x), buf)
+    ref = (PERFBENCH / "ref" / f"{wl.name}.csv").read_text()
+    assert buf.getvalue() == ref
 
 
 def test_scan_stdout(capsys):

@@ -65,6 +65,49 @@ def test_extra_lines_and_missing_outputs():
     )
 
 
+def test_every_differing_output_is_listed():
+    co = load_compare_outputs()
+    assert co.differences(PARENT, dict(PARENT)) == []
+    change = dict(PARENT)
+    change["verify defaults: stdout"] = "[PASS] a\n[FAIL] b\nsuite=all passed 1/2\n"
+    change["roadmap scan: stdout"] = "d,q\n-3,3\n-4,4\n"
+    del change["verify defaults: exit code"]
+    change["lvalues -3 direct 1e6: stdout"] = "{}\n"
+    assert co.differences(PARENT, change) == [
+        ("verify defaults: stdout", 2,
+         "line 2: parent '[PASS] b\\n' != change '[FAIL] b\\n'"),
+        ("verify defaults: exit code", 1, "missing on the change side"),
+        ("roadmap scan: stdout", 1, "parent has 2 lines, change has 3"),
+        ("lvalues -3 direct 1e6: stdout", 1, "missing on the parent side"),
+    ]
+    # the first of them is what first_difference names
+    assert co.first_difference(PARENT, change) == (
+        "verify defaults: stdout: line 2: parent '[PASS] b\\n' != change '[FAIL] b\\n'"
+    )
+
+
+def test_main_prints_every_difference_and_exits_one(monkeypatch, capsys):
+    co = load_compare_outputs()
+    change = dict(PARENT)
+    change["verify defaults: --out"] = '[\n  {"lhs": 1.5}\n]\n'
+    change["roadmap scan: stdout"] = "d,q\n-4,4\n"
+    sides = {"p": PARENT, "c": change}
+    monkeypatch.setattr(co, "load_perfbench_run", lambda root: None)
+    monkeypatch.setattr(co, "named_calls", lambda run: [])
+    monkeypatch.setattr(co, "collect", lambda root, calls: sides[root])
+    assert co.main(["--parent", "p", "--change", "c"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "2 of 4 outputs differ:",
+        "verify defaults: --out: 1 differing lines; first line 2: "
+        "parent '  {\"lhs\": 1.0}\\n' != change '  {\"lhs\": 1.5}\\n'",
+        "roadmap scan: stdout: 1 differing lines; first line 2: "
+        "parent '-3,3\\n' != change '-4,4\\n'",
+    ]
+    sides["c"] = dict(PARENT)
+    assert co.main(["--parent", "p", "--change", "c"]) == 0
+    assert capsys.readouterr().out == "4 outputs of 0 calls byte-identical\n"
+
+
 def test_every_output_of_a_call_is_collected():
     # the runner keeps exit code, stdout and the --out file of each call
     co = load_compare_outputs()

@@ -496,8 +496,10 @@ def literal_sums(D, x):
 
 
 def kernel_sums(D, x):
+    # L(1) from the length-x kernel itself: l_one takes complete periods from
+    # x >= _PERIOD_K0 q on (test_l_one_route_switches_at_k0_periods)
     return (
-        l_one(D, x).value,
+        lseries._chi_weighted_sum(D, lseries._inv_n(x)),
         l_one_prime_direct(D, x).value,
         tau_over_n_sum(D, x),
     )
@@ -603,14 +605,16 @@ def test_kernel_leaves_no_reference_cycle():
 
 def test_direct_sums_memoised_by_floor_of_x():
     D = FundamentalDiscriminant(-23)
+    x = 700.0  # below _PERIOD_K0 q, so l_one takes the literal route
+    assert x < lseries._PERIOD_K0 * D.q
     before = lseries._direct_chi_over_n.cache_info().hits
-    a = l_one(D, 1e4)
-    b = l_one(D, 1e4 + 0.5)
+    a = l_one(D, x)
+    b = l_one(D, x + 0.5)
     assert lseries._direct_chi_over_n.cache_info().hits >= before + 1
     assert a.value == b.value
-    assert (a.truncation, b.truncation) == (1e4, 1e4 + 0.5)
-    assert a.bound == math.sqrt(23) * math.log(23) / 1e4
-    assert b.bound == math.sqrt(23) * math.log(23) / (1e4 + 0.5)
+    assert (a.truncation, b.truncation) == (x, x + 0.5)
+    assert a.bound == math.sqrt(23) * math.log(23) / x
+    assert b.bound == math.sqrt(23) * math.log(23) / (x + 0.5)
     c = l_one_prime_direct(D, 1e4)
     e = l_one_prime_direct(D, 1e4 + 0.5)
     assert c.value == e.value
@@ -684,9 +688,23 @@ def test_period_route_equals_reference_large_q():
 
 
 def test_l_one_takes_the_period_route_above_the_direct_limit():
-    D = FundamentalDiscriminant(-200003)
+    # q large enough that x < K0 q: the direct limit alone picks the route
+    D = FundamentalDiscriminant(-999983)
     x = lseries._DIRECT_LIMIT + 1
+    assert x < lseries._PERIOD_K0 * D.q
     assert l_one(D, x).value == period_sum_reference(D, x)
+
+
+@pytest.mark.parametrize("d", [-3, -4, 5, 8, -8, -23, 293, -299, -1007, 4001])
+def test_l_one_route_switches_at_k0_periods(d):
+    # complete periods from x = K0 q on, bit for bit; the literal sum of x
+    # terms one below.  Each tail length R = x mod q is covered: 0, 1, q - 1.
+    D = FundamentalDiscriminant(d)
+    q = D.q
+    x0 = lseries._PERIOD_K0 * q
+    assert l_one(D, x0 - 1).value == literal_sums(D, x0 - 1)[0]
+    for x in (x0, x0 + 1, x0 + q - 1, 10**6):
+        assert l_one(D, x).value == period_sum_reference(D, x), x
 
 
 # ------------------------------------------------- the in-package digamma
@@ -802,7 +820,9 @@ def test_weight_cache_builds_each_array_once_within_budget():
             l_one_prime_direct(D, 10**7)
             assert cache.nbytes <= cache.budget
         xs = sorted({math.floor(x) for _, x in TAU_LOG_GRID})
-        built = {("_inv_n", x) for x in xs + [10**7]}
+        # L(1) at 1e7 >= _PERIOD_K0 q goes by complete periods, so 1/n at 1e7
+        # (76 MiB) is not among the builds, which the miss count confirms
+        built = {("_inv_n", x) for x in xs}
         built |= {("_tau_weights", x) for x in xs} | {("_log_over_n", 10**7)}
         assert set(cache._held) == built
         assert cache.misses - misses == len(built)
@@ -852,6 +872,15 @@ def test_weight_arrays_are_read_only():
     with pytest.raises(ValueError):
         lseries._tau_weights(x)[-1] = 0.0
     assert np.array_equal(lseries._tau_weights(x), w)
+
+
+def test_log_over_n_chunks_do_not_change_values(monkeypatch):
+    # the chunked in-place build, at lengths that are not multiples of the chunk
+    build = lseries._log_over_n.__wrapped__  # past the cache
+    for chunk, x in ((7, 7 * 13 + 5), (lseries._LOG_CHUNK, 2 * lseries._LOG_CHUNK + 3)):
+        monkeypatch.setattr(lseries, "_LOG_CHUNK", chunk)
+        ns = np.arange(1, x + 1, dtype=np.float64)
+        assert np.array_equal(build(x), np.log(ns) / ns), chunk
 
 
 @pytest.mark.parametrize("x", [1, 2, 4096, 100003])

@@ -1,4 +1,4 @@
-"""Check that two checkouts print byte-identical outputs; name the first difference.
+"""Check that two checkouts print byte-identical outputs; name every difference.
 
 Usage (from any directory):
 
@@ -16,9 +16,10 @@ writes:
 - the ``lvalues`` calls of the 100 queries of ``lvalues_stream(1, 0, 100)``
   from the parent's perfbench/run.py.
 
-Exit 0 when every output is byte-identical, 1 otherwise, with the first
-difference (output, line and both lines) on stderr.  The scan takes about
-10 s a side on a 2-vCPU host; the rest about 5 s.
+Exit 0 when every output is byte-identical, 1 otherwise.  Then stderr
+names every output that differs, in the order of the calls, with its count
+of differing lines and its first differing line (number and both lines).
+The scan takes about 10 s a side on a 2-vCPU host; the rest about 5 s.
 """
 
 from __future__ import annotations
@@ -96,21 +97,38 @@ def collect(root: str, calls: list[tuple[str, list[str], str | None]]) -> dict[s
     return outputs
 
 
-def first_difference(parent: dict[str, str], change: dict[str, str]) -> str | None:
-    """The first output, in the parent's order, that differs; None if none does."""
+def differences(parent: dict[str, str], change: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(name, differing lines, first difference) of every output that differs.
+
+    In the parent's order, then the outputs only the change has.  Lines are
+    compared by position; the lines one side has beyond the other's end
+    count as differing, and so does every line of an output one side lacks.
+    """
+    diffs = []
     for name in list(parent) + [n for n in change if n not in parent]:
-        if name not in change or name not in parent:
-            side = "change" if name not in change else "parent"
-            return f"{name}: missing on the {side} side"
-        a, b = parent[name], change[name]
+        a, b = parent.get(name), change.get(name)
+        if a is None or b is None:
+            side = "parent" if a is None else "change"
+            lines = len((a if b is None else b).splitlines())
+            diffs.append((name, lines, f"missing on the {side} side"))
+            continue
         if a == b:
             continue
         la, lb = a.splitlines(keepends=True), b.splitlines(keepends=True)
-        for i, (x, y) in enumerate(zip(la, lb), start=1):
-            if x != y:
-                return f"{name}: line {i}: parent {x!r} != change {y!r}"
-        return f"{name}: parent has {len(la)} lines, change has {len(lb)}"
-    return None
+        n = sum(x != y for x, y in zip(la, lb)) + abs(len(la) - len(lb))
+        first = next(
+            (f"line {i}: parent {x!r} != change {y!r}"
+             for i, (x, y) in enumerate(zip(la, lb), start=1) if x != y),
+            f"parent has {len(la)} lines, change has {len(lb)}",
+        )
+        diffs.append((name, n, first))
+    return diffs
+
+
+def first_difference(parent: dict[str, str], change: dict[str, str]) -> str | None:
+    """The first output, in the parent's order, that differs; None if none does."""
+    diffs = differences(parent, change)
+    return f"{diffs[0][0]}: {diffs[0][2]}" if diffs else None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -122,9 +140,11 @@ def main(argv: list[str] | None = None) -> int:
     calls = named_calls(load_perfbench_run(args.parent))
     parent = collect(args.parent, calls)
     change = collect(args.change, calls)
-    diff = first_difference(parent, change)
-    if diff is not None:
-        print(f"outputs differ: {diff}", file=sys.stderr)
+    diffs = differences(parent, change)
+    if diffs:
+        print(f"{len(diffs)} of {len(parent)} outputs differ:", file=sys.stderr)
+        for name, n, first in diffs:
+            print(f"{name}: {n} differing lines; first {first}", file=sys.stderr)
         return 1
     print(f"{len(parent)} outputs of {len(calls)} calls byte-identical")
     return 0
