@@ -1,5 +1,12 @@
 """Quadratic Dirichlet characters, Liouville-weighted divisor identities,
-L-values at s = 1, and a scan for discriminants with small L(1, chi)."""
+L-values at s = 1, and a scan for discriminants with small L(1, chi).
+
+The modules: characters (chi_d and its tables), primes and sieve (prime
+and divisor tables), lseries (L-values and Euler products), verify (the
+identity checks and their suites), scan (the discriminant scan and its
+CSV), errors (the exception types) and cli (the command line, which
+importing the package does not load).
+"""
 
 from .characters import (
     FundamentalDiscriminant,
@@ -48,11 +55,10 @@ from .sieve import (
     tau_chi,
     tau_chi_table,
 )
+from .scan import ScanRow, scan_discriminants
 from .verify import (
     IdentityReport,
-    ScanRow,
     run_suite,
-    scan_discriminants,
     seeded_two_var,
     verify_exponential_decomposition,
     verify_lambda_chi_mean,

@@ -13,7 +13,6 @@ a size beyond the memory budget, 2 on usage or domain errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -21,18 +20,11 @@ import sys
 from .characters import FundamentalDiscriminant
 from .errors import CapacityError, DomainError
 from .lseries import class_number_oracle, l_one, l_one_prime_tau
-from .verify import (
-    DEFAULT_SEED,
-    SUITES,
-    IdentityReport,
-    ScanRow,
-    run_suite,
-    scan_discriminants,
-)
+from .scan import scan_discriminants, write_scan_csv
+from .verify import DEFAULT_SEED, SUITES, IdentityReport, run_suite
 
 __all__ = [
     "report_dict",
-    "write_scan_csv",
     "main",
 ]
 
@@ -59,23 +51,6 @@ def report_dict(r: IdentityReport) -> dict:
         "pass": r.passed,
         "kind": r.kind,
     }
-
-
-SCAN_COLUMNS = ["d", "q", "L1", "L1_err", "L1prime", "Pq", "rhs_main", "ratio_main", "score"]
-
-
-def write_scan_csv(rows: list[ScanRow], fh) -> None:
-    """CSV with a fixed header; floats printed with %.9g for stable round-trips."""
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(SCAN_COLUMNS)
-    for r in rows:
-        w.writerow(
-            [r.d, r.q]
-            + [
-                "%.9g" % v
-                for v in (r.l1, r.l1_bound, r.l1_prime, r.pq, r.rhs_main, r.ratio_main, r.score)
-            ]
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,11 @@ complete periods and evaluated through the digamma function at the phi(q)
 residues r with chi(r) != 0, O(q) work whatever x (_chi_over_n_by_periods).
 Below that, the literal sum of x terms is cheaper.  The period route gives
 the L(1) at x^2 inside the rearranged route, and the scan's L(1) at x
-whenever x >= 32 q: at q <= 300 it takes 0.05 to 0.1 ms, where the literal
-sum took 1.2 to 1.4 ms at x = 1e6 and 13 to 19 ms at x = 1e7 on a 2-vCPU
-host.  At large q, skipping the q - phi(q) residues with chi(r) = 0 took the
-period sums of the 20 discriminants near |d| = 2e5 at x = 2.5e5^2 from 105
-to 66 ms, with the same values bit for bit.  The digamma is the module's
-own, _digamma_pair: a port of scipy's (Cephes') psi, run in chunks through
-reused buffers, so that numpy is the one runtime dependency.  Importing
-scipy.special was about 0.33 s and 25 MiB of every start-up.
+whenever x >= _PERIOD_K0 q.  Skipping the q - phi(q) residues with
+chi(r) = 0 saves work at large q and leaves every value the same bit for
+bit.  The digamma is the module's own, _digamma_pair: a port of scipy's
+(Cephes') psi, run in chunks through reused buffers, so that numpy is the
+one runtime dependency.
 
 All three length-x sums have the form sum_{n<=x} chi(n) w(n) with weights
 (1/n, log(n)/n, H(floor(x/n))/n) that do not depend on d.  The weights are
@@ -41,7 +38,7 @@ at most 2^15 terms is multiplied into one reused scratch buffer and summed
 by np.sum, and the leaf sums are added in the tree's order.  The value is
 that of the literal np.sum bit for bit, and no length-x product array is
 made.  The walk is a module-level function, not a closure, so that no
-reference cycle keeps a weight array alive.  The two direct sums are also
+reference cycle keeps a weight array alive.  The direct L'(1) sum is also
 memoised by (d, floor(x)).
 
 The module also carries the product quantities used by the discriminant scan
@@ -69,9 +66,7 @@ that f is evaluated once over all primes p <= x.  values_up_to multiplies
 in the primes p <= sqrt(x) by slices and the one prime factor above sqrt(x)
 by one gather per cofactor; theta_and_s builds its terms as
 arrays and adds them from p = 2 upwards by np.cumsum.  Both equal a loop
-over the primes bit for bit.  On a 2-vCPU host, in one traced unit of the
-verify-all benchmark, this and the weight cache cut the self time of
-values_up_to from 0.52 to 0.14 s and of theta_and_s from 0.10 to 0.04 s.
+over the primes bit for bit.
 """
 
 from __future__ import annotations
@@ -292,12 +287,8 @@ def _pairwise_leaves(
     return float(np.sum(out))
 
 
-# The direct sums are memoised by (d, X): D compares and hashes by d alone.
-@lru_cache(maxsize=1024)
-def _direct_chi_over_n(D: FundamentalDiscriminant, X: int) -> float:
-    return _chi_weighted_sum(D, _inv_n(X))
-
-
+# The direct L'(1) sum is memoised by (d, X): D compares and hashes by d
+# alone, and the verify suites ask for the same reference L'(1) repeatedly.
 @lru_cache(maxsize=1024)
 def _direct_chi_log_over_n(D: FundamentalDiscriminant, X: int) -> float:
     return -_chi_weighted_sum(D, _log_over_n(X))
@@ -307,13 +298,13 @@ def _chi_over_n_partial(D: FundamentalDiscriminant, x: int) -> float:
     """sum_{n<=x} chi(n)/n exactly as written (up to rounding), by the cheaper route.
 
     By complete periods (_chi_over_n_by_periods, O(q)) once x >= _PERIOD_K0 q
-    or x > _DIRECT_LIMIT; otherwise literally, by _chi_weighted_sum (O(x))
-    and memoised by (d, x).  Both routes sum the same x terms and differ
-    only in rounding: against 40-digit values both were within 1e-15.
+    or x > _DIRECT_LIMIT; otherwise literally, by _chi_weighted_sum (O(x)).
+    Both routes sum the same x terms and differ only in rounding: against
+    40-digit values both were within 1e-15.
     """
     if x >= _PERIOD_K0 * D.q or x > _DIRECT_LIMIT:
         return _chi_over_n_by_periods(D, x)
-    return _direct_chi_over_n(D, x)
+    return _chi_weighted_sum(D, _inv_n(x))
 
 
 # scipy.special.digamma at x > 0 is Cephes' psi.  Its rational approximation

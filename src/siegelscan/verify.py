@@ -1,4 +1,4 @@
-"""Identity checks, measured envelope checks, and the discriminant scan.
+"""Identity checks and measured envelope checks, run by named suites.
 
 Every check produces an IdentityReport with a left side, a right side, the
 residual |lhs - rhs|, an envelope, and the ratio residual/envelope.
@@ -13,7 +13,8 @@ to form the prediction, and the ratio is reported for calibration.
 
 The two sides of every check are computed by structurally different routes
 (literal nested loops vs divisor/character reorganizations) so a shared bug
-cannot cancel.
+cannot cancel.  The scan-smoke suite checks a small discriminant scan
+(siegelscan.scan) against direct enumeration.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .characters import (
     FundamentalDiscriminant,
     chi_values_up_to,
     enumerate_fundamentals,
-    is_fundamental,
 )
 from .errors import DomainError
 from .lseries import (
@@ -39,8 +39,6 @@ from .lseries import (
     euler_p_ratio,
     l_one,
     l_one_prime_direct,
-    l_one_prime_tau,
-    main_term_product,
     mean_variation_bound,
     mf_char_flip_cutoff,
     mf_liouville,
@@ -50,7 +48,8 @@ from .lseries import (
     theta_and_s,
     values_up_to,
 )
-from .primes import factorize, primes_upto
+from .primes import primes_upto
+from .scan import scan_discriminants
 from .sieve import (
     divisor_accumulate,
     liouville_table,
@@ -61,7 +60,6 @@ from .sieve import (
 
 __all__ = [
     "IdentityReport",
-    "ScanRow",
     "DEFAULT_SEED",
     "seeded_two_var",
     "verify_two_variable_identity",
@@ -75,12 +73,15 @@ __all__ = [
     "verify_theta_decomposition",
     "verify_lambda_chi_mean",
     "verify_psi_chi",
-    "scan_discriminants",
     "run_suite",
     "SUITES",
 ]
 
 DEFAULT_SEED = 20260814
+
+# Truncation of the reference L(1) and L'(1) in the measured checks; their
+# tail bounds at this x are folded into each envelope.
+_REF_TRUNC = 1e7
 
 
 @dataclass(frozen=True)
@@ -508,12 +509,7 @@ def verify_mean_variation(
 
 
 def verify_rho_main_term(
-    D: FundamentalDiscriminant,
-    x: float,
-    u: float,
-    *,
-    trunc: float = 1e7,
-    c_max: float = 100.0,
+    D: FundamentalDiscriminant, x: float, u: float, *, c_max: float = 100.0
 ) -> IdentityReport:
     """The rho_u-weighted character sum against its L-value main term.
 
@@ -542,8 +538,8 @@ def verify_rho_main_term(
     ch = chi_values_up_to(D, M).astype(np.float64)
     s_lam_chi = float(np.sum(lam * ch))
 
-    l1 = l_one(D, trunc)
-    l1p = l_one_prime_direct(D, trunc)
+    l1 = l_one(D, _REF_TRUNC)
+    l1p = l_one_prime_direct(D, _REF_TRUNC)
     log_window = math.log(x / (math.e * u * u))
     rhs = u * s_lam_chi * (l1.value * log_window + l1p.value)
 
@@ -553,27 +549,27 @@ def verify_rho_main_term(
         + eps * x * (math.log(q) + math.log(x / (u * u)) ** 2)
     )
     env += abs(u * s_lam_chi) * (l1.bound * abs(log_window) + l1p.bound)
-    params = {"d": D.d, "x": x, "u": u, "trunc": trunc, "epsilon": eps}
+    params = {"d": D.d, "x": x, "u": u, "trunc": _REF_TRUNC, "epsilon": eps}
     return _measured("rho_main_term", params, lhs, rhs, env, c_max)
 
 
 def verify_tau_log_identity(
-    D: FundamentalDiscriminant, x: float, *, trunc: float = 1e7, c_max: float = 100.0
+    D: FundamentalDiscriminant, x: float, *, c_max: float = 100.0
 ) -> IdentityReport:
     """Partial sums of tau(n, chi)/n against L(1,chi)(log x + gamma) + L'(1,chi).
 
     Raw envelope q^{1/4} x^{-1/2} log x; reference L-values come from the
-    direct series at the given truncation and their tail bounds are folded
-    into the envelope.  The raw envelope and raw ratio are kept in params so
-    a global calibration constant can be extracted.
+    direct series at _REF_TRUNC and their tail bounds are folded into the
+    envelope.  The raw envelope and raw ratio are kept in params so a global
+    calibration constant can be extracted.
     """
     q = D.q
     if not q < x:
         raise DomainError("need q < x")
     X = math.floor(x)
     lhs = tau_over_n_sum(D, X)
-    l1 = l_one(D, trunc)
-    l1p = l_one_prime_direct(D, trunc)
+    l1 = l_one(D, _REF_TRUNC)
+    l1p = l_one_prime_direct(D, _REF_TRUNC)
     rhs = l1.value * (math.log(x) + EULER_GAMMA) + l1p.value
 
     env_raw = q**0.25 * math.log(x) / math.sqrt(x)
@@ -582,7 +578,7 @@ def verify_tau_log_identity(
     params = {
         "d": D.d,
         "x": x,
-        "trunc": trunc,
+        "trunc": _REF_TRUNC,
         "envelope_raw": env_raw,
         "ratio_raw": residual / env_raw,
     }
@@ -666,7 +662,7 @@ def verify_theta_decomposition(
 
 
 def verify_lambda_chi_mean(
-    D: FundamentalDiscriminant, x: float, *, trunc: float = 1e7, c_max: float = 100.0
+    D: FundamentalDiscriminant, x: float, *, c_max: float = 100.0
 ) -> IdentityReport:
     """sum_{n<=x} lambda(n) chi(n) against P(q) x.
 
@@ -685,7 +681,7 @@ def verify_lambda_chi_mean(
 
     pq = euler_p_ratio(D)
     rhs = pq * x
-    l1 = l_one(D, trunc)
+    l1 = l_one(D, _REF_TRUNC)
     env = (l1.value + l1.bound + q**-0.25) * x * math.log(x) + x * math.log(
         q
     ) ** 3 / math.log(x)
@@ -697,12 +693,7 @@ def verify_lambda_chi_mean(
 _PNT_C = 0.1
 
 
-def verify_psi_chi(
-    D: FundamentalDiscriminant,
-    x: float,
-    *,
-    trunc: float = 1e7,
-) -> IdentityReport:
+def verify_psi_chi(D: FundamentalDiscriminant, x: float) -> IdentityReport:
     """Diagnostic: sum_{n<=x} Lambda(n) chi(n) against -x.
 
     Envelope (L(1,chi) + q^{-1/4}) x log^2 x + x exp(-c sqrt(log x)) + q with
@@ -719,7 +710,7 @@ def verify_psi_chi(
     lhs = float(P[X])
     rhs = -x
 
-    l1 = l_one(D, trunc)
+    l1 = l_one(D, _REF_TRUNC)
     env = (
         (l1.value + l1.bound + q**-0.25) * x * math.log(x) ** 2
         + x * math.exp(-_PNT_C * math.sqrt(math.log(x)))
@@ -727,82 +718,6 @@ def verify_psi_chi(
     )
     params = {"d": D.d, "x": x, "c": _PNT_C, "diagnostic": True}
     return _measured("psi_chi", params, lhs, rhs, env, c_max=1.0)
-
-
-# ---------------------------------------------------------------------------
-# Discriminant scan
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    d: int
-    q: int
-    l1: float
-    l1_bound: float
-    l1_prime: float
-    pq: float
-    rhs_main: float
-    ratio_main: float
-    score: float
-
-
-def _coprime_zeta2_exact(q: int) -> float:
-    acc = math.pi**2 / 6.0
-    for p, _ in factorize(q):
-        acc *= 1.0 - 1.0 / (p * p)
-    return acc
-
-
-def _scan_one(arg: tuple[int, int]) -> ScanRow:
-    d, x = arg
-    D = FundamentalDiscriminant(d)
-    l1 = l_one(D, x)
-    l1p = l_one_prime_tau(D, x)
-    pq = euler_p_ratio(D)
-    rhs = main_term_product(D)
-    ratio = pq * l1p.value / _coprime_zeta2_exact(D.q)
-    return ScanRow(
-        d=d,
-        q=D.q,
-        l1=l1.value,
-        l1_bound=l1.bound,
-        l1_prime=l1p.value,
-        pq=pq,
-        rhs_main=rhs,
-        ratio_main=ratio,
-        score=l1.value,
-    )
-
-
-def scan_discriminants(d_lo: int, d_hi: int, x: float, jobs: int = 1) -> list[ScanRow]:
-    """One ScanRow per fundamental discriminant in [d_lo, d_hi].
-
-    L(1) is the series truncated at x, summed by complete periods once
-    x >= 32 q and term by term below (lseries.l_one); L'(1) comes from the
-    tau rearrangement at x.  Rows are sorted ascending by score (= L1), ties
-    by d, so output is independent of the worker count.
-    """
-    if d_lo > d_hi:
-        raise DomainError("need d_lo <= d_hi")
-    if jobs < 1:
-        raise DomainError("jobs must be >= 1")
-    if not math.isfinite(x):
-        raise DomainError(f"truncation x must be finite, got {x}")
-    q_max = max(abs(d_lo), abs(d_hi))
-    if x < q_max:
-        raise DomainError("truncation x must cover every modulus in range")
-    X = math.floor(x)
-    args = [(d, X) for d in range(d_lo, d_hi + 1) if is_fundamental(d)]
-    if jobs == 1 or len(args) < 4:
-        rows = [_scan_one(a) for a in args]
-    else:
-        import multiprocessing  # here, not at the top: 6-10 ms of every start-up
-
-        chunk = max(1, len(args) // (8 * jobs))
-        with multiprocessing.Pool(processes=jobs) as pool:
-            rows = pool.map(_scan_one, args, chunksize=chunk)
-    rows.sort(key=lambda r: (r.score, r.d))
-    return rows
 
 
 # ---------------------------------------------------------------------------

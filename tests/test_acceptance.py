@@ -38,10 +38,9 @@ from siegelscan import (
     verify_two_variable_identity,
 )
 from siegelscan import verify
-from siegelscan.cli import write_scan_csv
+from siegelscan.scan import _coprime_zeta2_exact, write_scan_csv
 from siegelscan.verify import (
     DEFAULT_SEED,
-    _coprime_zeta2_exact,
     _two_var_named,
     random_swap_triples,
     random_two_var_cases,

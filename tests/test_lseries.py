@@ -45,7 +45,8 @@ from siegelscan import (
 )
 from siegelscan import lseries
 from siegelscan.primes import DEFAULT_MAX_WIDTH, factorize
-from siegelscan.verify import TAU_LOG_GRID, _coprime_zeta2_exact, _smoothed
+from siegelscan.scan import _coprime_zeta2_exact
+from siegelscan.verify import TAU_LOG_GRID, _smoothed
 
 KNOWN_CLASS_NUMBERS = {
     -3: 1, -4: 1, -7: 1, -8: 1, -11: 1, -15: 2, -20: 2, -23: 3,
@@ -607,16 +608,16 @@ def test_direct_sums_memoised_by_floor_of_x():
     D = FundamentalDiscriminant(-23)
     x = 700.0  # below _PERIOD_K0 q, so l_one takes the literal route
     assert x < lseries._PERIOD_K0 * D.q
-    before = lseries._direct_chi_over_n.cache_info().hits
     a = l_one(D, x)
     b = l_one(D, x + 0.5)
-    assert lseries._direct_chi_over_n.cache_info().hits >= before + 1
     assert a.value == b.value
     assert (a.truncation, b.truncation) == (x, x + 0.5)
     assert a.bound == math.sqrt(23) * math.log(23) / x
     assert b.bound == math.sqrt(23) * math.log(23) / (x + 0.5)
     c = l_one_prime_direct(D, 1e4)
+    before = lseries._direct_chi_log_over_n.cache_info().hits
     e = l_one_prime_direct(D, 1e4 + 0.5)
+    assert lseries._direct_chi_log_over_n.cache_info().hits == before + 1
     assert c.value == e.value
     assert (c.truncation, e.truncation) == (1e4, 1e4 + 0.5)
     assert c.bound != e.bound
@@ -807,7 +808,6 @@ def test_weight_cache_builds_each_array_once_within_budget():
     # TAU_LOG_GRID runs; per-kind two-entry LRUs built 1/n 20 times here
     cache = lseries._WEIGHTS
     cache.clear()
-    lseries._direct_chi_over_n.cache_clear()
     lseries._direct_chi_log_over_n.cache_clear()
     misses = cache.misses
     try:
