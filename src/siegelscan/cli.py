@@ -13,6 +13,7 @@ a size beyond the memory budget, 2 on usage or domain errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -134,7 +135,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args keeps no state in it."""
     p = argparse.ArgumentParser(prog="siegelscan")
     sub = p.add_subparsers(dest="cmd", required=True)
 

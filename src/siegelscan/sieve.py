@@ -14,7 +14,8 @@ On top of the sieve sit the divisor functionals used by the analytic checks:
     psi_u(D, z, u)        = sum_{u < n <= z} Lambda(n) chi(n)
 
 Whole tables of such sums (rho_u(m) and tau(m, chi) for every m <= X) come
-from one kernel, divisor_accumulate.
+from one kernel, divisor_accumulate_into, which divisor_accumulate runs on a
+zero table.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "rho_u",
     "tau_chi",
     "divisor_accumulate",
+    "divisor_accumulate_into",
     "tau_chi_table",
     "psi_u",
 ]
@@ -181,33 +183,48 @@ def tau_chi(D: FundamentalDiscriminant, n: int) -> int:
 def divisor_accumulate(w: np.ndarray, lo: int, X: int) -> np.ndarray:
     """int64 array acc of length X+1 with acc[n] = sum_{d | n, d >= lo} w[d].
 
-    The one divisor-accumulation kernel: the result equals the literal loop
+    The result equals the literal loop
     ``for d in range(lo, X + 1): acc[d::d] += w[d]`` exactly, since the sums
     are int64.  w is indexed at 1..X (any integer dtype); lo >= 1, and
-    lo > X gives all zeros.
+    lo > X gives all zeros.  It runs divisor_accumulate_into on a zero
+    table.
+    """
+    acc = np.zeros(X + 1, dtype=np.int64)
+    divisor_accumulate_into(acc, w, lo, X + 1)
+    return acc
 
-    Each d <= isqrt(X) takes one slice pass over its multiples.  The larger
+
+def divisor_accumulate_into(
+    acc: np.ndarray, w: np.ndarray, lo: int, hi: int, sign: int = 1
+) -> None:
+    """Add sign * sum_{d | n, lo <= d < hi} w[d] to acc[n], for every n < acc.size.
+
+    The one divisor-accumulation kernel, in place on an int64 acc; w is
+    indexed at lo..min(hi, acc.size) - 1, and lo >= 1.  Each d <= isqrt(X),
+    X = acc.size - 1, takes one slice pass over its multiples.  The larger
     d have at most isqrt(X) multiples each, so they go by multiplier
     instead: one fancy-index pass acc[k*ds] += w[ds] per k.  For a fixed k
     the indices k*d are distinct, so the buffered += adds every term once.
     """
     if lo < 1:
         raise DomainError("divisor accumulation starts at d >= 1")
-    acc = np.zeros(X + 1, dtype=np.int64)
+    X = acc.size - 1
+    hi = min(hi, X + 1)
     r = math.isqrt(X)
-    for d in range(lo, r + 1):
-        v = int(w[d])
+    for d in range(lo, min(hi, r + 1)):
+        v = sign * int(w[d])
         if v:
             acc[d::d] += v
-    ds = np.arange(max(lo, r + 1), X + 1, dtype=np.int64)
+    ds = np.arange(max(lo, r + 1), hi, dtype=np.int64)
     wd = w[ds].astype(np.int64)
     keep = wd != 0
     ds, wd = ds[keep], wd[keep]
+    if sign != 1:
+        wd *= sign
     if ds.size:
         for k in range(1, X // int(ds[0]) + 1):
             n = int(np.searchsorted(ds, X // k, side="right"))
             acc[k * ds[:n]] += wd[:n]
-    return acc
 
 
 def tau_chi_table(D: FundamentalDiscriminant, x: int) -> np.ndarray:

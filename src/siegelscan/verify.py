@@ -52,9 +52,11 @@ from .primes import primes_upto
 from .scan import scan_discriminants
 from .sieve import (
     divisor_accumulate,
+    divisor_accumulate_into,
     liouville_table,
     prime_powers_upto,
     rho_u,
+    shared_sieve,
     tau_chi_table,
 )
 
@@ -306,7 +308,7 @@ def verify_exponential_decomposition(
         count += int(np.sum(r_top))
 
     mtop = X // (FU + 1)
-    rho = divisor_accumulate(lam, FU + 1, mtop)
+    rho = _rho_table(mtop, u)
     flat = 0.0 + 0.0j
     sl = pp_range(FU, X)
     for i in range(sl.start, sl.stop):
@@ -351,6 +353,10 @@ def verify_rho_swap_and_skeleton(
     When u is an integer the non-strict swap variant (n >= u inside) is also
     evaluated and recorded in params; it genuinely differs, which is why the
     strict convention is the frozen one.
+
+    rho_u comes from _rho_table, that is from lambda(d) over the divisors
+    d > u by divisor accumulation, never through the square identity.  Its
+    held table takes 8 bytes per m <= T: 8 MB at the cap T = 1e6.
     """
     if u < 1:
         raise DomainError("need u >= 1")
@@ -363,15 +369,15 @@ def verify_rho_swap_and_skeleton(
         return _exact("rho_swap_skeleton", params, 0, 0, 0.0)
     FU = math.floor(u)
 
-    lam = liouville_table(T).astype(np.int64)
-    ch = chi_values_up_to(D, T).astype(np.int64)
+    lam = shared_sieve(T).lambda_sign
+    ch = chi_values_up_to(D, T)
 
-    rho = divisor_accumulate(lam, FU + 1, T)
-    rho_chi = rho * ch
-    lhs_a = int(np.sum(rho_chi[FU + 1 :]))
+    rho_chi = _rho_table(T, u) * ch
+    ptail = np.cumsum(rho_chi)
+    ptail -= ptail[FU]  # R(t') for t' >= FU
+    lhs_a = int(ptail[T])
 
-    lam_chi_prefix = np.zeros(T + 1, dtype=np.int64)
-    np.cumsum(lam * ch, out=lam_chi_prefix)
+    lam_chi_prefix = np.cumsum(lam * ch, dtype=np.int64)
     # d_top may pass t/u by one: that d has T // d <= FU, an empty inner sum
     d_top = min(T, math.floor(t / u) + 1)
     nd = T // np.arange(1, d_top + 1)
@@ -391,10 +397,6 @@ def verify_rho_swap_and_skeleton(
         params["nonstrict_differs"] = bool(rhs_ns != lhs_a)
 
     # (b) coefficient vectors; index j carries the coefficient of x/j
-    part = np.zeros(T + 1, dtype=np.int64)
-    np.cumsum(rho_chi, out=part)
-    ptail = part - part[FU]  # R(t') for t' >= FU
-
     lcoef = np.zeros(T + 2, dtype=np.int64)
     lcoef[FU + 1 : T + 1] = rho_chi[FU + 1 : T + 1]
     lu = -int(ptail[T])
@@ -442,13 +444,35 @@ def _lambda_chi_cumsum(D: FundamentalDiscriminant, X: int) -> np.ndarray:
     return acc
 
 
-def _rho_table(X: int, u: float) -> np.ndarray:
-    """rho_u(m) for all m <= X (d > u strict), as int64.
+# One rho table per process, [lo, acc]: acc[m] = sum_{d | m, d >= lo} lambda(d)
+# for every m < acc.size.  Its length is the largest X asked for so far.
+_rho_held: list = [1, np.zeros(1, dtype=np.int64)]
 
-    Accumulated from lambda(d) over the divisors d > u by divisor_accumulate,
-    never through the square identity, which the checks test.
+
+def _rho_table(X: int, u: float) -> np.ndarray:
+    """rho_u(m) for all m <= X (d > u strict), as a new int64 array.
+
+    Read from the one held table.  When that is shorter than X + 1 it is
+    built again at X by divisor_accumulate; otherwise it is walked from its
+    cutoff to lo = floor(u) + 1 by divisor_accumulate_into, subtracting
+    lambda(d) on the multiples of each d in [cur, lo), or adding it for each
+    d in [lo, cur).  Either way rho_u is accumulated from lambda(d) over the
+    divisors d > u, never through the square identity, which the checks
+    test.  The held table takes 8 bytes per entry: 8 MB at X = 1e6, and
+    80 MB if psi_transfer or rho_main_term asks for x/u = 1e7.  The result
+    is a copy, so a later walk leaves it as it was.
     """
-    return divisor_accumulate(liouville_table(X), math.floor(u) + 1, X)
+    lo = math.floor(u) + 1
+    cur, acc = _rho_held
+    lam = shared_sieve(max(X, acc.size - 1)).lambda_sign
+    if acc.size < X + 1:
+        acc = divisor_accumulate(lam, lo, X)
+    elif lo > cur:
+        divisor_accumulate_into(acc, lam, cur, lo, sign=-1)
+    else:
+        divisor_accumulate_into(acc, lam, lo, cur)
+    _rho_held[:] = [lo, acc]
+    return acc[: X + 1].copy()
 
 
 def verify_psi_transfer(

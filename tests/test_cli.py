@@ -432,3 +432,27 @@ def test_scan_stdout(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == SCAN_HEADER
     assert {int(l.split(",")[0]) for l in lines[1:]} == {-3, -4, -7, -8}
+
+
+def test_cached_parser_carries_nothing_from_one_call_to_the_next():
+    # main() parses with one parser per process: each call must see the
+    # defaults and the subcommand of its own argv, as a new parser would
+    assert build_parser() is build_parser()
+    calls = [
+        ["lvalues", "--d", "-4", "--x", "1e7"],
+        ["lvalues", "--d", "-4"],
+        ["scan", "--dmin", "-8", "--dmax", "-3", "--x", "100"],
+        ["verify", "--suite", "identities"],
+    ]
+    outs = []
+    for argv in calls:
+        fresh = vars(build_parser.__wrapped__().parse_args(argv))
+        assert vars(build_parser().parse_args(argv)) == fresh, argv
+        code, text = run_main(*argv)
+        assert code == 0, argv
+        outs.append(text)
+    assert json.loads(outs[0])["truncation"] == 1e7
+    assert json.loads(outs[1])["truncation"] == 1e6
+    assert outs[2].splitlines()[0] == SCAN_HEADER
+    # 6 catalog + 200 seeded two-variable cases, 5 exponential, 5 + 500 swaps
+    assert outs[3].splitlines()[-1].startswith("suite=identities passed 716/716 ")

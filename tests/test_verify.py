@@ -149,6 +149,45 @@ def test_rho_table_matches_pointwise():
             assert table[m] == sieve.rho_u(m, u), (m, u)
 
 
+def fresh_rho_table(monkeypatch):
+    monkeypatch.setattr(verify, "_rho_held", [1, np.zeros(1, dtype=np.int64)])
+
+
+def test_rho_table_walk_equals_kernel(monkeypatch):
+    fresh_rho_table(monkeypatch)
+    # up, down, a repeat, lo > X, walks across isqrt of the held length,
+    # and X growing past the held length (a rebuild) twice
+    requests = [
+        (300, 2.5), (300, 9.0), (200, 4.5), (200, 4.5), (250, 400.0),
+        (300, 1.0), (1000, 7.5), (1000, 40.5), (600, 3.5), (50, 60.0),
+        (1500, 20.5), (1500, 1.5), (10, 9.5),
+    ]
+    held = []
+    for X, u in requests:
+        got = verify._rho_table(X, u)
+        want = sieve.divisor_accumulate(sieve.liouville_table(X), math.floor(u) + 1, X)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), (X, u)
+        held.append((got, want))
+    # every array handed out is the caller's own: later walks left it alone
+    for (X, u), (got, want) in zip(requests, held):
+        assert np.array_equal(got, want), (X, u)
+
+
+def test_swap_reports_do_not_depend_on_order(monkeypatch):
+    from siegelscan.cli import report_dict
+
+    def reports(triples):
+        fresh_rho_table(monkeypatch)
+        return [
+            report_dict(verify_rho_swap_and_skeleton(FundamentalDiscriminant(d), t, u))
+            for d, t, u in triples
+        ]
+
+    triples = random_swap_triples(7, 30)
+    assert reports(triples) == reports(triples[::-1])[::-1]
+
+
 def test_psi_transfer_smoke():
     rep = verify_psi_transfer(FundamentalDiscriminant(-4), 10**4, 100.0)
     assert rep.kind == "measured"
