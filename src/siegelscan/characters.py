@@ -8,26 +8,23 @@ chi(-1) = sign(d), and its Gauss sum tau(chi) = sum_{a=1}^{q} chi(a) e(a/q)
 has |tau(chi)|^2 = q, with tau purely real for d > 0 and purely imaginary for
 d < 0.  Here e(t) = exp(2*pi*i*t).
 
-One period of chi is built from the factorization of d into prime
-discriminants: a period-4 or period-8 table for the 2-adic factor (-4, 8 or
--8), read off kronecker_symbol, times one Legendre table (n|p) for each odd
-prime p | d, which by quadratic reciprocity is the character of p* = +-p = 1
-(mod 4) (Cohen, A Course in Computational Algebraic Number Theory, 5.1-5.2;
-Davenport, Multiplicative Number Theory, ch. 5).  The last 32 int8 periods
-are cached.  CapacityError guards a period longer than
-primes.DEFAULT_MAX_WIDTH, DomainError a |d| beyond primes.RANGE_LIMIT.
+One period of chi is built by _period from the factorization of d into prime
+discriminants: a 2-adic table times one Legendre table per odd prime p | d.
+The int8 periods are held, read-only, in the process-wide cache bounded in
+bytes (primes._ARRAYS), least recently used out first.  CapacityError guards
+a period longer than primes.DEFAULT_MAX_WIDTH, DomainError a |d| beyond
+primes.RANGE_LIMIT.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .primes import DEFAULT_MAX_WIDTH, factorize
+from .primes import _ARRAYS, DEFAULT_MAX_WIDTH, factorize
 
 __all__ = [
     "FundamentalDiscriminant",
@@ -121,7 +118,7 @@ def chi_eval(D: FundamentalDiscriminant, n: int) -> int:
     return kronecker_symbol(D.d, n)
 
 
-@lru_cache(maxsize=32)
+@_ARRAYS
 def _period(d: int) -> np.ndarray:
     """One period of chi as an int8 array indexed by n mod q.
 
@@ -157,7 +154,6 @@ def _period(d: int) -> np.ndarray:
         leg[r] = 1
         leg[0] = 0
         vals *= np.tile(leg, q // p)
-    vals.flags.writeable = False
     return vals
 
 

@@ -30,8 +30,8 @@ one runtime dependency.
 
 All three length-x sums have the form sum_{n<=x} chi(n) w(n) with weights
 (1/n, log(n)/n, H(floor(x/n))/n) that do not depend on d.  The weights are
-cached per x in one cache bounded in bytes (_WEIGHTS, least recently used
-out first).  One kernel,
+cached per x in the process-wide cache bounded in bytes (primes._ARRAYS,
+least recently used out first), next to the chi periods.  One kernel,
 _chi_weighted_sum, sums the products leaf by leaf along the pairwise tree
 that np.sum itself would run over the whole length-x product: each leaf of
 at most 2^15 terms is multiplied into one reused scratch buffer and summed
@@ -51,37 +51,36 @@ number formula oracle for d < 0, and the two error functionals eps(x, u) and
 M(x, omega) that appear in measured envelopes.
 
 Both products are sums of logs over the primes p <= q.  The logs
-log1p(-1/p) and log1p(1/p) do not depend on d: _prime_logs caches them with
-the primes, keyed by the next power of two >= q.  Each product takes chi at the primes
-from chi_period, picks one term per prime by chi(p) in {-1, 0, 1}, and adds
-the terms with np.cumsum, strictly from p = 2 upwards.  The logs come from
+log1p(-1/p) and log1p(1/p) do not depend on d: _prime_logs holds them with
+the primes in the same cache.  Each product takes chi at the primes from
+chi_period, picks one term per prime by chi(p) in {-1, 0, 1}, and adds the
+terms with np.cumsum, strictly from p = 2 upwards.  The logs come from
 math.log1p and the order is that of a loop over the primes, so the values
 equal such a loop bit for bit; np.log1p and the pairwise np.sum would each
-change the last bits.  The class number oracle counts reduced forms with
-one numpy pass over b for each leading coefficient a.
+change the last bits.  The class number oracle counts reduced forms with one
+numpy pass over b for each leading coefficient a.
 
 Multiplicative functions are completely multiplicative and given by f(p)
 alone, as a callable from an int64 array of primes to float64 values, so
 that f is evaluated once over all primes p <= x.  values_up_to multiplies
 in the primes p <= sqrt(x) by slices and the one prime factor above sqrt(x)
-by one gather per cofactor; theta_and_s builds its terms as
-arrays and adds them from p = 2 upwards by np.cumsum.  Both equal a loop
-over the primes bit for bit.
+by one gather per cofactor; theta_and_s builds its terms as arrays and adds
+them from p = 2 upwards by np.cumsum.  Both equal a loop over the primes bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .characters import FundamentalDiscriminant, chi_period, chi_values_up_to
 from .errors import CapacityError, ContractError, DomainError
-from .primes import DEFAULT_MAX_WIDTH, primes_upto
+from .primes import _ARRAYS, DEFAULT_MAX_WIDTH, primes_upto
 
 __all__ = [
     "EULER_GAMMA",
@@ -140,61 +139,7 @@ class LValueEstimate:
     method: str  # "direct" | "tau-identity" | "class-number"
 
 
-class _WeightCache:
-    """Weight arrays keyed by (function name, x), held within a budget in bytes.
-
-    One cache serves every kind of weight, so that the arrays of one x do
-    not push out those of another: a d-major loop over x = 1e4, 1e5, 1e6
-    next to L(1) at 1e7 (TAU_LOG_GRID in verify) rebuilt 1/n at 1e7 for
-    every d when each kind had its own two-entry LRU.  The least recently
-    used arrays are dropped first to make room, and an array larger than
-    the whole budget is returned but not held.  misses counts the builds.
-    Every array it returns is read-only, so that no caller can change the
-    weights that later calls read.
-    """
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.nbytes = 0
-        self.misses = 0
-        self._held: OrderedDict[tuple[str, int], np.ndarray] = OrderedDict()
-
-    def __call__(self, build: Callable[[int], np.ndarray]) -> Callable[[int], np.ndarray]:
-        """Decorate build(x) so that its arrays are held here."""
-
-        @wraps(build)
-        def cached(x: int) -> np.ndarray:
-            key = (build.__name__, x)
-            w = self._held.get(key)
-            if w is not None:
-                self._held.move_to_end(key)
-                return w
-            self.misses += 1
-            w = build(x)
-            w.flags.writeable = False
-            if w.nbytes <= self.budget:
-                while self.nbytes + w.nbytes > self.budget:
-                    self.nbytes -= self._held.popitem(last=False)[1].nbytes
-                self._held[key] = w
-                self.nbytes += w.nbytes
-            return w
-
-        return cached
-
-    def clear(self) -> None:
-        self._held.clear()
-        self.nbytes = 0
-
-
-# Three float64 arrays at the direct limit (480 MB): 1/n next to log(n)/n or
-# to the tau weights at any x the direct routes take, with room for the
-# smaller x of a verify suite.  L(1) reads 1/n only below _PERIOD_K0 q, so
-# the reference L(1) at 1e7 in verify (every q there is below 1e7 / 32) no
-# longer builds it at 1e7; the tau weights at x still read it at x.
-_WEIGHTS = _WeightCache(3 * 8 * _DIRECT_LIMIT)
-
-
-@_WEIGHTS
+@_ARRAYS
 def _inv_n(x: int) -> np.ndarray:
     a = np.arange(1, x + 1, dtype=np.float64)
     return np.divide(1.0, a, out=a)
@@ -204,7 +149,7 @@ def _inv_n(x: int) -> np.ndarray:
 _LOG_CHUNK = 2**16
 
 
-@_WEIGHTS
+@_ARRAYS
 def _log_over_n(x: int) -> np.ndarray:
     """log(n)/n for n <= x, built in place in one length-x array.
 
@@ -222,7 +167,7 @@ def _log_over_n(x: int) -> np.ndarray:
     return out
 
 
-@_WEIGHTS
+@_ARRAYS
 def _tau_weights(x: int) -> np.ndarray:
     """w[n-1] = H(floor(x/n))/n for n <= x, H(j) = sum_{k<=j} 1/k.
 
@@ -573,7 +518,7 @@ def class_number_oracle(D: FundamentalDiscriminant) -> LValueEstimate:
     return LValueEstimate(value=value, truncation=math.inf, bound=0.0, method="class-number")
 
 
-@lru_cache(maxsize=2)
+@_ARRAYS
 def _prime_logs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(primes p <= n, log1p(-1/p), log1p(1/p)) as int64 and float64 arrays.
 

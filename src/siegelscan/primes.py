@@ -1,4 +1,4 @@
-"""The one prime sieve, the one factorization and the size limits.
+"""The one prime sieve, the one factorization, the size limits and the array cache.
 
 ``characters`` builds chi tables from the factorization of d and ``sieve``
 imports ``characters``, so the factorization lives here, where both can import
@@ -8,12 +8,17 @@ the squarefree test of ``characters.is_fundamental``, the chi tables of
 ``characters`` and the divisor enumeration of ``sieve``.
 
 DEFAULT_MAX_WIDTH caps arrays sized by an argument (sieve tables, chi
-periods, tau weights), RANGE_LIMIT the integers sieved or factorized.
+periods, tau weights), RANGE_LIMIT the integers sieved or factorized, and
+_ARRAYS, the one process-wide cache of keyed arrays, the bytes held by the
+chi periods of ``characters`` and the prime logs and weights of ``lseries``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter, OrderedDict
+from functools import wraps
+from typing import Callable
 
 import numpy as np
 
@@ -58,3 +63,59 @@ def factorize(m: int) -> list[tuple[int, int]]:
     if m > 1:
         fac.append((m, 1))
     return fac
+
+
+class _ArrayCache:
+    """Arrays keyed by (builder name, *args), held within a budget in bytes.
+
+    A builder returns an array or a tuple of arrays; every array returned is
+    read-only.  One budget serves every builder, so that no kind pushes out
+    another by a rule of its own (a two-entry LRU per weight kind rebuilt 1/n
+    at 1e7 for every d of TAU_LOG_GRID in verify).  The least recently used
+    entries go first; a result larger than the whole budget is returned but
+    not held.  misses counts the builds per builder name.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self.misses: Counter[str] = Counter()
+        self._held: OrderedDict[tuple, np.ndarray | tuple[np.ndarray, ...]] = OrderedDict()
+
+    def __call__(self, build: Callable) -> Callable:
+        """Decorate build(*args) so that its results are held here."""
+        name = build.__name__
+
+        @wraps(build)
+        def cached(*args):
+            key = (name, *args)
+            value = self._held.get(key)
+            if value is not None:
+                self._held.move_to_end(key)
+                return value
+            value = build(*args)
+            self.misses[name] += 1
+            for a in value if isinstance(value, tuple) else (value,):
+                a.flags.writeable = False
+            size = _nbytes(value)
+            if size <= self.budget:
+                while self.nbytes + size > self.budget:
+                    self.nbytes -= _nbytes(self._held.popitem(last=False)[1])
+                self._held[key] = value
+                self.nbytes += size
+            return value
+
+        return cached
+
+    def clear(self) -> None:
+        self._held.clear()
+        self.nbytes = 0
+
+
+def _nbytes(value: np.ndarray | tuple[np.ndarray, ...]) -> int:
+    return sum(a.nbytes for a in (value if isinstance(value, tuple) else (value,)))
+
+
+# Three float64 arrays at lseries' direct limit of 2e7 terms (480 MB): the
+# weights of the direct routes, smaller x, chi periods and prime logs.
+_ARRAYS = _ArrayCache(3 * 8 * 2 * 10**7)

@@ -213,12 +213,34 @@ def test_chi_period_beyond_capacity(monkeypatch):
         chi_values_up_to(D, 10)
 
 
-def test_chi_cache_is_bounded():
-    from siegelscan import characters
+def test_array_cache_holds_within_budget(monkeypatch):
+    # one byte budget for chi periods, prime logs and weights: patched small,
+    # a scan and a suite must evict to stay under it
+    from siegelscan.primes import _ARRAYS
+    from siegelscan.scan import scan_discriminants
+    from siegelscan.verify import run_suite
 
-    for D in enumerate_fundamentals(-200, -1)[:40]:
-        chi_period(D)
-    assert characters._period.cache_info().currsize <= 32
+    def check_held():
+        held = 0
+        for key, value in _ARRAYS._held.items():
+            for a in value if isinstance(value, tuple) else (value,):
+                assert not a.flags.writeable, key
+                held += a.nbytes
+        assert _ARRAYS.nbytes == held <= _ARRAYS.budget
+        return {key[0] for key in _ARRAYS._held}
+
+    _ARRAYS.clear()
+    monkeypatch.setattr(_ARRAYS, "budget", 100_000)
+    try:
+        scan_discriminants(-300, 300, 1e4)
+        assert {"_period", "_prime_logs"} <= check_held()
+        # 184 periods and the 1/n and tau weights at 1e4 (80 kB each) were built
+        assert len(_ARRAYS._held) < sum(_ARRAYS.misses.values())
+        # the suite reads the periods of -3, -4 and -8 next to the scan's arrays
+        assert all(r.passed for r in run_suite("corollaries"))
+        check_held()
+    finally:
+        _ARRAYS.clear()
 
 
 def test_char_partial_sum_matches_cumsum():

@@ -230,11 +230,19 @@ def test_tau_capacity_error_names_x_briefly(capsys):
     assert "10^200.00" in lines[0]
 
 
-def test_chi_table_beyond_capacity_exits_one(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["lvalues", "--d", "67108865", "--x", "1e8"], id="lvalues"),
+        pytest.param(["scan", "--dmin", "67108865", "--dmax", "67108865", "--x", "1e8"], id="scan"),
+    ],
+)
+def test_chi_table_beyond_capacity_exits_one(argv, capsys, monkeypatch):
     # |d| = 2^26 + 1: the guard fires before the period is built.  The
     # constructor's squarefree test factorizes |d| too, so only a call from
     # the table builder fails.
     from siegelscan import characters
+    from siegelscan.primes import _ARRAYS
 
     factorize = characters.factorize
     builder = characters._period.__wrapped__.__code__
@@ -245,11 +253,15 @@ def test_chi_table_beyond_capacity_exits_one(capsys, monkeypatch):
         return factorize(m)
 
     monkeypatch.setattr(characters, "factorize", factorize_outside_builder)
-    assert main(["lvalues", "--d", "67108865", "--x", "1e8"]) == 1
+    builds = _ARRAYS.misses["_period"]
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert "chi period length 67108865 exceeds budget" in lines[0], lines[0]
+    assert _ARRAYS.misses["_period"] == builds
+    assert ("_period", 67108865) not in _ARRAYS._held
 
 
 def test_huge_discriminant_exits_two_quickly():

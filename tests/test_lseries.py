@@ -1,10 +1,12 @@
 """L-values at s = 1, Euler products, error functionals, multiplicative means."""
 
 import gc
+import inspect
 import math
 import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -43,8 +45,8 @@ from siegelscan import (
     theta_and_s,
     values_up_to,
 )
-from siegelscan import lseries
-from siegelscan.primes import DEFAULT_MAX_WIDTH, factorize
+from siegelscan import characters, lseries
+from siegelscan.primes import _ARRAYS, DEFAULT_MAX_WIDTH, factorize
 from siegelscan.scan import _coprime_zeta2_exact
 from siegelscan.verify import TAU_LOG_GRID, _smoothed
 
@@ -569,7 +571,7 @@ def test_kernel_equals_np_sum_at_large_x():
                     assert lseries._chi_weighted_sum(D, w) == float(np.sum(ch * w)), (D.d, x)
             del weights, ch
     finally:
-        lseries._WEIGHTS.clear()
+        _ARRAYS.clear()
 
 
 @pytest.mark.parametrize("d", [-3, 5, -299, 293])
@@ -806,10 +808,10 @@ def test_digamma_pair_chunks_do_not_change_values(monkeypatch):
 def test_weight_cache_builds_each_array_once_within_budget():
     # d-major over x = 1e4, 1e5, 1e6 with L(1) and L'(1) at 1e7, as
     # TAU_LOG_GRID runs; per-kind two-entry LRUs built 1/n 20 times here
-    cache = lseries._WEIGHTS
+    cache = _ARRAYS
     cache.clear()
     lseries._direct_chi_log_over_n.cache_clear()
-    misses = cache.misses
+    misses = cache.misses.copy()
     try:
         for d, x in TAU_LOG_GRID:
             D = FundamentalDiscriminant(d)
@@ -824,25 +826,27 @@ def test_weight_cache_builds_each_array_once_within_budget():
         # (76 MiB) is not among the builds, which the miss count confirms
         built = {("_inv_n", x) for x in xs}
         built |= {("_tau_weights", x) for x in xs} | {("_log_over_n", 10**7)}
+        built |= {("_period", d) for d, _ in TAU_LOG_GRID}
+        assert len({d for d, _ in TAU_LOG_GRID}) == 5
         assert set(cache._held) == built
-        assert cache.misses - misses == len(built)
+        assert cache.misses - misses == Counter(kind for kind, _ in built)
         assert cache.nbytes == sum(w.nbytes for w in cache._held.values())
     finally:
         cache.clear()
 
 
 def test_weight_cache_evicts_by_bytes_and_skips_oversized(monkeypatch):
-    cache = lseries._WEIGHTS
+    cache = _ARRAYS
     cache.clear()
     monkeypatch.setattr(cache, "budget", 8 * 1000)
     try:
-        misses = cache.misses
+        misses = cache.misses.copy()
         # larger than the whole budget: returned, not held, so built again
         w = lseries._inv_n(1001)
         assert np.array_equal(w, 1.0 / np.arange(1, 1002, dtype=np.float64))
         assert cache.nbytes == 0 and not cache._held
         lseries._inv_n(1001)
-        assert cache.misses - misses == 2
+        assert cache.misses - misses == Counter({"_inv_n": 2})
         # exactly the budget is held; the next array pushes out the oldest
         lseries._inv_n(600)
         lseries._log_over_n(400)
@@ -851,9 +855,27 @@ def test_weight_cache_evicts_by_bytes_and_skips_oversized(monkeypatch):
         lseries._inv_n(300)
         assert list(cache._held) == [("_inv_n", 600), ("_inv_n", 300)]
         assert cache.nbytes == 8 * 900 <= cache.budget
-        assert cache.misses - misses == 5
+        assert cache.misses - misses == Counter({"_inv_n": 4, "_log_over_n": 1})
     finally:
         cache.clear()
+
+
+def test_one_array_cache_serves_every_builder():
+    # chi periods, prime logs and the three weight kinds share one instance
+    builders = [
+        characters._period,
+        lseries._prime_logs,
+        lseries._inv_n,
+        lseries._log_over_n,
+        lseries._tau_weights,
+    ]
+    for build in builders:
+        assert inspect.getclosurevars(build).nonlocals["self"] is _ARRAYS, build.__name__
+    caches = [o for o in gc.get_objects() if isinstance(o, type(_ARRAYS))]
+    assert caches == [_ARRAYS]
+    assert not hasattr(lseries, "_WeightCache") and not hasattr(lseries, "_WEIGHTS")
+    assert not hasattr(characters._period, "cache_info")
+    assert not hasattr(lseries._prime_logs, "cache_info")
 
 
 def test_weight_arrays_are_read_only():
