@@ -80,7 +80,7 @@ import numpy as np
 
 from .characters import FundamentalDiscriminant, chi_period, chi_values_up_to
 from .errors import CapacityError, ContractError, DomainError
-from .primes import _ARRAYS, DEFAULT_MAX_WIDTH, primes_upto
+from .primes import _ARRAYS, DEFAULT_MAX_WIDTH, _bucket, primes_upto
 
 __all__ = [
     "EULER_GAMMA",
@@ -523,10 +523,10 @@ def _prime_logs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(primes p <= n, log1p(-1/p), log1p(1/p)) as int64 and float64 arrays.
 
     The per-prime table of the Euler products; it does not depend on d.  The
-    callers key it by the next power of two >= q, so that nearby q share one
-    entry, and slice the prefix p <= q.  The logs come from math.log1p, as
-    in a loop over the primes: np.log1p differs from it in the last bit for
-    17 of the 1229 primes below 1e4.
+    callers key it by _bucket(q), the least power of two >= q, so that
+    nearby q share one entry, and slice the prefix p <= q.  The logs come
+    from math.log1p, as in a loop over the primes: np.log1p differs from
+    it in the last bit for 17 of the 1229 primes below 1e4.
     """
     ps = primes_upto(n)
     plist = ps.tolist()
@@ -543,7 +543,7 @@ def _chi_at_primes(D: FundamentalDiscriminant) -> tuple[np.ndarray, np.ndarray, 
     """
     per = chi_period(D)
     q = D.q
-    ps, lm, lp = _prime_logs(1 << (q - 1).bit_length())
+    ps, lm, lp = _prime_logs(_bucket(q))
     k = int(np.searchsorted(ps, q, side="right"))
     return per[ps[:k] % q], lm[:k], lp[:k]
 

@@ -10,7 +10,8 @@ the squarefree test of ``characters.is_fundamental``, the chi tables of
 DEFAULT_MAX_WIDTH caps arrays sized by an argument (sieve tables, chi
 periods, tau weights), RANGE_LIMIT the integers sieved or factorized, and
 _ARRAYS, the one process-wide cache of keyed arrays, the bytes held by the
-chi periods of ``characters`` and the prime logs and weights of ``lseries``.
+chi periods, prime logs, weights, sieve columns and rho base of the modules
+that build them; tables read by prefix are keyed by _bucket of their length.
 """
 
 from __future__ import annotations
@@ -116,6 +117,12 @@ def _nbytes(value: np.ndarray | tuple[np.ndarray, ...]) -> int:
     return sum(a.nbytes for a in (value if isinstance(value, tuple) else (value,)))
 
 
-# Three float64 arrays at lseries' direct limit of 2e7 terms (480 MB): the
-# weights of the direct routes, smaller x, chi periods and prime logs.
+def _bucket(n: int) -> int:
+    """The least power of two >= n, for n >= 1: the key of a table read by prefix."""
+    return 1 << (n - 1).bit_length()
+
+
+# Three float64 arrays at lseries' direct limit of 2e7 terms (480 MB).  The
+# sieve and rho buckets of 1e7 (2^24) take 160 and 128 MiB; at 2^26 they take
+# 640 and 512 MiB, over the budget, so they are returned but not held.
 _ARRAYS = _ArrayCache(3 * 8 * 2 * 10**7)

@@ -4,7 +4,8 @@ For [1, hi] the sieve tabulates Omega(n) (number of prime factors with
 multiplicity, 8-bit), the Liouville sign lambda(n) = (-1)^Omega(n), and the
 prime-power base: p when n = p^k, 0 otherwise.  Every array is indexed by n,
 and entry 0 is 0.  The von Mangoldt value Lambda(n) = log(base) is never
-stored: prime_powers_upto is the one reader of the base column.
+stored: prime_powers_upto is the one reader of the base column.  shared_sieve
+hands out prefixes of one table per power-of-two length held in primes._ARRAYS.
 
 On top of the sieve sit the divisor functionals used by the analytic checks:
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .characters import FundamentalDiscriminant, chi_period, chi_values_up_to
 from .errors import CapacityError, DomainError
-from .primes import DEFAULT_MAX_WIDTH, RANGE_LIMIT, factorize, primes_upto
+from .primes import _ARRAYS, DEFAULT_MAX_WIDTH, RANGE_LIMIT, _bucket, factorize, primes_upto
 
 __all__ = [
     "SieveTable",
@@ -68,11 +69,7 @@ def build_sieve(hi: int) -> SieveTable:
     base column is int64.  The build holds about 18 bytes per entry at its
     peak (tracemalloc: 17.5 MiB at hi = 1e6, against 27.7 MiB with int64).
     """
-    if not (1 <= hi <= RANGE_LIMIT):
-        raise DomainError(f"need 1 <= hi <= 2^40, got {hi}")
-    if hi > DEFAULT_MAX_WIDTH:
-        raise CapacityError(f"sieve length {hi} exceeds budget {DEFAULT_MAX_WIDTH}")
-
+    _check_length(hi)
     ns = np.arange(hi + 1, dtype=np.int32)
     rem = ns.copy()
     omega = np.zeros(hi + 1, dtype=np.uint8)
@@ -98,24 +95,31 @@ def build_sieve(hi: int) -> SieveTable:
     return SieveTable(hi=hi, omega=omega, lambda_sign=lam, pp_base=ppb)
 
 
-# One shared table rooted at 1, grown monotonically.  Callers get prefixes.
-_shared: list[SieveTable] = []
+def _check_length(hi: int) -> None:
+    if not (1 <= hi <= RANGE_LIMIT):
+        raise DomainError(f"need 1 <= hi <= 2^40, got {hi}")
+    if hi > DEFAULT_MAX_WIDTH:
+        raise CapacityError(f"sieve length {hi} exceeds budget {DEFAULT_MAX_WIDTH}")
+
+
+@_ARRAYS
+def _sieve_columns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(omega, lambda_sign, pp_base) of build_sieve(n), held in primes._ARRAYS."""
+    t = build_sieve(n)
+    return t.omega, t.lambda_sign, t.pp_base
 
 
 def shared_sieve(hi: int) -> SieveTable:
-    """A table over [1, hi]: a prefix (views) of one cached table.
+    """A table over [1, hi]: prefix views of the held sieve of _bucket(hi).
 
-    The cached arrays are read-only, and so are the views: a write into
-    them raises ValueError instead of changing every later result.
+    hi is checked before anything is built.  The views are read-only: a
+    write raises ValueError instead of changing every later result.  The
+    bucket takes 10 bytes per entry; at 2^26 (640 MiB) it is not held.
     """
-    if not (_shared and 1 <= hi <= _shared[0].hi):
-        t = build_sieve(hi)
-        for a in (t.omega, t.lambda_sign, t.pp_base):
-            a.flags.writeable = False
-        _shared[:] = [t]
-    t = _shared[0]
+    _check_length(hi)
     n = hi + 1
-    return SieveTable(hi, t.omega[:n], t.lambda_sign[:n], t.pp_base[:n])
+    omega, lam, ppb = _sieve_columns(_bucket(hi))
+    return SieveTable(hi, omega[:n], lam[:n], ppb[:n])
 
 
 def liouville_table(x: int) -> np.ndarray:
@@ -194,10 +198,8 @@ def divisor_accumulate(w: np.ndarray, lo: int, X: int) -> np.ndarray:
     return acc
 
 
-def divisor_accumulate_into(
-    acc: np.ndarray, w: np.ndarray, lo: int, hi: int, sign: int = 1
-) -> None:
-    """Add sign * sum_{d | n, lo <= d < hi} w[d] to acc[n], for every n < acc.size.
+def divisor_accumulate_into(acc: np.ndarray, w: np.ndarray, lo: int, hi: int) -> None:
+    """Add sum_{d | n, lo <= d < hi} w[d] to acc[n], for every n < acc.size.
 
     The one divisor-accumulation kernel, in place on an int64 acc; w is
     indexed at lo..min(hi, acc.size) - 1, and lo >= 1.  Each d <= isqrt(X),
@@ -212,15 +214,13 @@ def divisor_accumulate_into(
     hi = min(hi, X + 1)
     r = math.isqrt(X)
     for d in range(lo, min(hi, r + 1)):
-        v = sign * int(w[d])
+        v = int(w[d])
         if v:
             acc[d::d] += v
     ds = np.arange(max(lo, r + 1), hi, dtype=np.int64)
     wd = w[ds].astype(np.int64)
     keep = wd != 0
     ds, wd = ds[keep], wd[keep]
-    if sign != 1:
-        wd *= sign
     if ds.size:
         for k in range(1, X // int(ds[0]) + 1):
             n = int(np.searchsorted(ds, X // k, side="right"))

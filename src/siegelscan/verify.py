@@ -48,7 +48,7 @@ from .lseries import (
     theta_and_s,
     values_up_to,
 )
-from .primes import primes_upto
+from .primes import _ARRAYS, _bucket, primes_upto
 from .scan import scan_discriminants
 from .sieve import (
     divisor_accumulate,
@@ -356,7 +356,7 @@ def verify_rho_swap_and_skeleton(
 
     rho_u comes from _rho_table, that is from lambda(d) over the divisors
     d > u by divisor accumulation, never through the square identity.  Its
-    held table takes 8 bytes per m <= T: 8 MB at the cap T = 1e6.
+    held base takes 8 bytes per entry of _bucket(T): 8 MiB at the cap T = 1e6.
     """
     if u < 1:
         raise DomainError("need u >= 1")
@@ -444,35 +444,27 @@ def _lambda_chi_cumsum(D: FundamentalDiscriminant, X: int) -> np.ndarray:
     return acc
 
 
-# One rho table per process, [lo, acc]: acc[m] = sum_{d | m, d >= lo} lambda(d)
-# for every m < acc.size.  Its length is the largest X asked for so far.
-_rho_held: list = [1, np.zeros(1, dtype=np.int64)]
+@_ARRAYS
+def _rho_base(n: int) -> np.ndarray:
+    """sum_{d | m} lambda(d) for every m <= n, as int64, by divisor accumulation."""
+    return divisor_accumulate(shared_sieve(n).lambda_sign, 1, n)
 
 
 def _rho_table(X: int, u: float) -> np.ndarray:
     """rho_u(m) for all m <= X (d > u strict), as a new int64 array.
 
-    Read from the one held table.  When that is shorter than X + 1 it is
-    built again at X by divisor_accumulate; otherwise it is walked from its
-    cutoff to lo = floor(u) + 1 by divisor_accumulate_into, subtracting
-    lambda(d) on the multiples of each d in [cur, lo), or adding it for each
-    d in [lo, cur).  Either way rho_u is accumulated from lambda(d) over the
+    A copy of the first X + 1 entries of _rho_base(_bucket(X)), held in
+    primes._ARRAYS, from which divisor_accumulate_into takes lambda(d) off
+    the multiples of each d <= u: rho_u is summed from lambda(d) over the
     divisors d > u, never through the square identity, which the checks
-    test.  The held table takes 8 bytes per entry: 8 MB at X = 1e6, and
-    80 MB if psi_transfer or rho_main_term asks for x/u = 1e7.  The result
-    is a copy, so a later walk leaves it as it was.
+    test.  The base takes 8 bytes per entry of the bucket: 8 MiB at X = 1e6,
+    128 MiB at x/u = 1e7; at 2^26 (512 MiB) it is not held.
     """
-    lo = math.floor(u) + 1
-    cur, acc = _rho_held
-    lam = shared_sieve(max(X, acc.size - 1)).lambda_sign
-    if acc.size < X + 1:
-        acc = divisor_accumulate(lam, lo, X)
-    elif lo > cur:
-        divisor_accumulate_into(acc, lam, cur, lo, sign=-1)
-    else:
-        divisor_accumulate_into(acc, lam, lo, cur)
-    _rho_held[:] = [lo, acc]
-    return acc[: X + 1].copy()
+    n = _bucket(X)
+    cut = math.floor(u) + 1
+    acc = _rho_base(n)[: X + 1].copy()
+    divisor_accumulate_into(acc, -shared_sieve(n).lambda_sign[:cut], 1, cut)
+    return acc
 
 
 def verify_psi_transfer(

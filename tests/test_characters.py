@@ -214,11 +214,16 @@ def test_chi_period_beyond_capacity(monkeypatch):
 
 
 def test_array_cache_holds_within_budget(monkeypatch):
-    # one byte budget for chi periods, prime logs and weights: patched small,
-    # a scan and a suite must evict to stay under it
+    # one byte budget for chi periods, prime logs, weights, sieve columns and
+    # rho bases: patched small, a scan and the suites must evict to stay under it
+    from siegelscan.cli import report_dict
     from siegelscan.primes import _ARRAYS
     from siegelscan.scan import scan_discriminants
     from siegelscan.verify import run_suite
+
+    def identities():
+        reports = run_suite("identities", two_var_cases=2, swap_cases=10)
+        return [report_dict(r) for r in reports]
 
     def check_held():
         held = 0
@@ -230,6 +235,10 @@ def test_array_cache_holds_within_budget(monkeypatch):
         return {key[0] for key in _ARRAYS._held}
 
     _ARRAYS.clear()
+    misses = _ARRAYS.misses.copy()
+    full = identities()
+    full_built = _ARRAYS.misses - misses
+    _ARRAYS.clear()
     monkeypatch.setattr(_ARRAYS, "budget", 100_000)
     try:
         scan_discriminants(-300, 300, 1e4)
@@ -239,6 +248,14 @@ def test_array_cache_holds_within_budget(monkeypatch):
         # the suite reads the periods of -3, -4 and -8 next to the scan's arrays
         assert all(r.passed for r in run_suite("corollaries"))
         check_held()
+        # the sieve and rho tables of up to 1e5 entries are rebuilt, not held,
+        # and the reports are those of the full budget
+        misses = _ARRAYS.misses.copy()
+        assert identities() == full
+        check_held()
+        built = _ARRAYS.misses - misses
+        for kind in ("_sieve_columns", "_rho_base"):
+            assert built[kind] > full_built[kind] > 0, (built, full_built)
     finally:
         _ARRAYS.clear()
 

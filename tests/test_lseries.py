@@ -1,8 +1,10 @@
 """L-values at s = 1, Euler products, error functionals, multiplicative means."""
 
 import gc
+import importlib
 import inspect
 import math
+import pkgutil
 import tracemalloc
 import warnings
 import weakref
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma
 
+import siegelscan
 from siegelscan import (
     CapacityError,
     ContractError,
@@ -45,7 +48,7 @@ from siegelscan import (
     theta_and_s,
     values_up_to,
 )
-from siegelscan import characters, lseries
+from siegelscan import characters, lseries, sieve, verify
 from siegelscan.primes import _ARRAYS, DEFAULT_MAX_WIDTH, factorize
 from siegelscan.scan import _coprime_zeta2_exact
 from siegelscan.verify import TAU_LOG_GRID, _smoothed
@@ -861,13 +864,16 @@ def test_weight_cache_evicts_by_bytes_and_skips_oversized(monkeypatch):
 
 
 def test_one_array_cache_serves_every_builder():
-    # chi periods, prime logs and the three weight kinds share one instance
+    # chi periods, prime logs, the three weight kinds, the sieve columns and
+    # the rho base share one instance
     builders = [
         characters._period,
         lseries._prime_logs,
         lseries._inv_n,
         lseries._log_over_n,
         lseries._tau_weights,
+        sieve._sieve_columns,
+        verify._rho_base,
     ]
     for build in builders:
         assert inspect.getclosurevars(build).nonlocals["self"] is _ARRAYS, build.__name__
@@ -876,6 +882,24 @@ def test_one_array_cache_serves_every_builder():
     assert not hasattr(lseries, "_WeightCache") and not hasattr(lseries, "_WEIGHTS")
     assert not hasattr(characters._period, "cache_info")
     assert not hasattr(lseries._prime_logs, "cache_info")
+    assert not hasattr(sieve, "_shared") and not hasattr(verify, "_rho_held")
+    assert "sign" not in inspect.signature(sieve.divisor_accumulate_into).parameters
+
+
+def test_no_module_holds_arrays_outside_the_cache():
+    # after the sieve and a rho table were read, no siegelscan module keeps an
+    # array (or a container of arrays or sieve tables) in a global of its own
+    verify._rho_table(100, 2.5)
+    names = [m.name for m in pkgutil.iter_modules(siegelscan.__path__) if m.name != "__main__"]
+    for name in names:
+        module = importlib.import_module(f"siegelscan.{name}")
+        for attr, value in vars(module).items():
+            assert not isinstance(value, np.ndarray), (name, attr)
+            if isinstance(value, (list, tuple, dict)):
+                items = value.values() if isinstance(value, dict) else value
+                assert not any(isinstance(v, (np.ndarray, sieve.SieveTable)) for v in items), (
+                    name, attr,
+                )
 
 
 def test_weight_arrays_are_read_only():

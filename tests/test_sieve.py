@@ -25,7 +25,8 @@ from siegelscan import (
     tau_chi,
     tau_chi_table,
 )
-from siegelscan.sieve import divisor_accumulate, prime_powers_upto, shared_sieve
+from siegelscan.primes import _ARRAYS, DEFAULT_MAX_WIDTH
+from siegelscan.sieve import SieveTable, divisor_accumulate, prime_powers_upto, shared_sieve
 
 
 def brute_arith(n):
@@ -98,19 +99,21 @@ def test_von_mangoldt_points():
     assert t.pp_base[7] == 7
 
 
-def test_build_sieve_domain_and_capacity():
-    from siegelscan.primes import DEFAULT_MAX_WIDTH
-
+@pytest.mark.parametrize(
+    "read", [build_sieve, shared_sieve, liouville_table, prime_powers_upto],
+    ids=lambda f: f.__name__,
+)
+def test_build_sieve_domain_and_capacity(read):
+    misses = _ARRAYS.misses.copy()
     with pytest.raises(DomainError):
-        build_sieve(0)
-    # the guard fires before any allocation
-    with pytest.raises(CapacityError):
-        build_sieve(DEFAULT_MAX_WIDTH + 1)
+        read(0)
+    # the guard fires before any allocation, and names hi, not its bucket 2^27
+    with pytest.raises(CapacityError, match=f"length {DEFAULT_MAX_WIDTH + 1} "):
+        read(DEFAULT_MAX_WIDTH + 1)
+    assert _ARRAYS.misses == misses
 
 
 def test_shared_prefixes_and_prime_power_reader():
-    from siegelscan import sieve
-
     ref = build_sieve(300)
 
     def assert_like_ref(t):
@@ -118,12 +121,19 @@ def test_shared_prefixes_and_prime_power_reader():
         for col in ("omega", "lambda_sign", "pp_base"):
             assert np.array_equal(getattr(t, col), getattr(ref, col)), col
 
-    sieve._shared.clear()  # start from an empty cache, whatever ran before
+    _ARRAYS.clear()  # start from an empty cache, whatever ran before
+    misses = _ARRAYS.misses["_sieve_columns"]
     shared_sieve(2000)
     assert_like_ref(shared_sieve(300))
     shared_sieve(5000)
-    assert sieve._shared[0].hi == 5000
+    buckets = {key[1] for key in _ARRAYS._held if key[0] == "_sieve_columns"}
+    assert buckets == {512, 2048, 8192}
     assert_like_ref(shared_sieve(300))
+    # one build per power-of-two bucket: 257..512 read views of one table
+    t = shared_sieve(257)
+    assert np.shares_memory(t.omega, _ARRAYS._held[("_sieve_columns", 512)][0])
+    assert _ARRAYS.misses["_sieve_columns"] - misses == 3
+    assert np.array_equal(shared_sieve(5000).pp_base, build_sieve(5000).pp_base)
 
     # liouville_table hands out a copy, never a view of the shared table
     lam = liouville_table(300)
@@ -139,14 +149,13 @@ def test_shared_prefixes_and_prime_power_reader():
 
 
 def test_shared_sieve_is_read_only():
-    from siegelscan import sieve
-
     ref = build_sieve(300)
     ns_ref = np.nonzero(ref.pp_base)[0]
     vm_ref = np.log(ref.pp_base[ns_ref].astype(np.float64))
-    sieve._shared.clear()
+    _ARRAYS.clear()
     shared_sieve(2000)
-    for t in (shared_sieve(300), sieve._shared[0]):
+    held = SieveTable(2048, *_ARRAYS._held[("_sieve_columns", 2048)])
+    for t in (shared_sieve(300), shared_sieve(2000), held):
         for col in ("omega", "lambda_sign", "pp_base"):
             with pytest.raises(ValueError):
                 getattr(t, col)[2] = 0

@@ -30,6 +30,7 @@ from siegelscan import (
     seeded_two_var,
 )
 from siegelscan import sieve, verify
+from siegelscan.primes import _ARRAYS
 from siegelscan.verify import DEFAULT_SEED, random_swap_triples, random_two_var_cases
 
 
@@ -149,14 +150,10 @@ def test_rho_table_matches_pointwise():
             assert table[m] == sieve.rho_u(m, u), (m, u)
 
 
-def fresh_rho_table(monkeypatch):
-    monkeypatch.setattr(verify, "_rho_held", [1, np.zeros(1, dtype=np.int64)])
-
-
-def test_rho_table_walk_equals_kernel(monkeypatch):
-    fresh_rho_table(monkeypatch)
-    # up, down, a repeat, lo > X, walks across isqrt of the held length,
-    # and X growing past the held length (a rebuild) twice
+def test_rho_table_walk_equals_kernel():
+    _ARRAYS.clear()
+    # cutoffs up, down, a repeat, lo > X, cuts across isqrt of the bucket,
+    # and X growing past a bucket twice (300 -> 1000 -> 1500 reads 512, 1024, 2048)
     requests = [
         (300, 2.5), (300, 9.0), (200, 4.5), (200, 4.5), (250, 400.0),
         (300, 1.0), (1000, 7.5), (1000, 40.5), (600, 3.5), (50, 60.0),
@@ -169,16 +166,18 @@ def test_rho_table_walk_equals_kernel(monkeypatch):
         assert got.dtype == np.int64
         assert np.array_equal(got, want), (X, u)
         held.append((got, want))
-    # every array handed out is the caller's own: later walks left it alone
+    # every array handed out is the caller's own: later calls left it alone
     for (X, u), (got, want) in zip(requests, held):
         assert np.array_equal(got, want), (X, u)
+    bases = {key[1] for key in _ARRAYS._held if key[0] == "_rho_base"}
+    assert bases == {16, 64, 256, 512, 1024, 2048}
 
 
-def test_swap_reports_do_not_depend_on_order(monkeypatch):
+def test_swap_reports_do_not_depend_on_order():
     from siegelscan.cli import report_dict
 
     def reports(triples):
-        fresh_rho_table(monkeypatch)
+        _ARRAYS.clear()
         return [
             report_dict(verify_rho_swap_and_skeleton(FundamentalDiscriminant(d), t, u))
             for d, t, u in triples
