@@ -18,15 +18,14 @@ LValueEstimate).
 sum_{n<=x} chi(n)/n takes the cheaper of two routes, which compute the
 same truncated series and differ only in rounding (_chi_over_n_partial).
 Once x >= _PERIOD_K0 q, and always above _DIRECT_LIMIT, it is grouped into
-complete periods and evaluated through the digamma function at the phi(q)
-residues r with chi(r) != 0, O(q) work whatever x (_chi_over_n_by_periods).
-Below that, the literal sum of x terms is cheaper.  The period route gives
-the L(1) at x^2 inside the rearranged route, and the scan's L(1) at x
-whenever x >= _PERIOD_K0 q.  Skipping the q - phi(q) residues with
-chi(r) = 0 saves work at large q and leaves every value the same bit for
-bit.  The digamma is the module's own, _digamma_pair: a port of scipy's
-(Cephes') psi, run in chunks through reused buffers, so that numpy is the
-one runtime dependency.
+complete periods, O(q) work whatever x (_chi_over_n_by_periods): L(1, chi)
+in closed form, minus the periods past K q (x = K q + R) as a short Taylor
+series in r/q with Hurwitz zeta coefficients, plus the literal block of the
+last R terms.  Below that, the literal sum of x terms is cheaper.  The
+period route gives the L(1) at x^2 inside the rearranged route, and the
+scan's L(1) at x whenever x >= _PERIOD_K0 q.  It runs in chunks through
+reused buffers, with numpy as the one runtime dependency, and states its
+own rounding bound.
 
 All three length-x sums have the form sum_{n<=x} chi(n) w(n) with weights
 (1/n, log(n)/n, H(floor(x/n))/n) that do not depend on d.  The weights are
@@ -107,7 +106,7 @@ __all__ = [
 EULER_GAMMA = 0.57721566490153286
 
 # Above this truncation the character sum is evaluated by complete periods
-# (digamma identity) instead of literal term-by-term summation.
+# instead of literal term-by-term summation.
 _DIRECT_LIMIT = 2 * 10**7
 
 # From x >= _PERIOD_K0 q on, sum_{n<=x} chi(n)/n is taken by complete periods
@@ -115,6 +114,8 @@ _DIRECT_LIMIT = 2 * 10**7
 # sum against warm weights: the period route was slower at K = 8 for every q
 # and won from some K between 16 and 32 on at q >= 1e4 (at q = 2e5, K = 32:
 # 12.1 ms literal, 5.6 ms by periods).  At q <= 3000 both stay below 0.3 ms.
+# These timings were of the earlier period route through the digamma
+# function; the value is kept, so that every route choice stays as it was.
 _PERIOD_K0 = 32
 
 # Calibrated constant of the tau-identity error term c q^{1/4} x^{-1/2} log x.
@@ -128,9 +129,11 @@ class LValueEstimate:
     bound covers the truncation error only.  It does not cover the
     floating-point rounding of the sum, which dominates once the bound is
     below about 1e-15: lvalues --d -4 --x 1e30 prints bound 2.8e-30 for a
-    value 9e-16 away from pi/4.  A bound that also covers rounding is item 2
-    of ROADMAP.md.  The tau-identity bound rests on a calibrated constant,
-    not a proof.
+    value 9e-16 away from pi/4.  The period route of l_one adds at most
+    4 eps (log q + 4) of rounding for odd chi and 4 eps (8 sqrt(q) + log q
+    + 4) for even chi, eps = 2^-52 (_chi_over_n_by_periods); the literal
+    route states no such term.  The tau-identity bound rests on a
+    calibrated constant, not a proof.
     """
 
     value: float
@@ -244,171 +247,146 @@ def _chi_over_n_partial(D: FundamentalDiscriminant, x: int) -> float:
 
     By complete periods (_chi_over_n_by_periods, O(q)) once x >= _PERIOD_K0 q
     or x > _DIRECT_LIMIT; otherwise literally, by _chi_weighted_sum (O(x)).
-    Both routes sum the same x terms and differ only in rounding: against
-    40-digit values both were within 1e-15.
+    Both routes give the same truncated series and differ only in rounding.
     """
     if x >= _PERIOD_K0 * D.q or x > _DIRECT_LIMIT:
         return _chi_over_n_by_periods(D, x)
     return _chi_weighted_sum(D, _inv_n(x))
 
 
-# scipy.special.digamma at x > 0 is Cephes' psi.  Its rational approximation
-# on [1, 2] is Boost's (John Maddock, 2006, Boost Software License 1.0):
-# psi(x) = g Y + g P(x - 1)/Q(x - 1), where g = x - root is taken off in
-# three parts, root = 1.4616... being the positive zero of psi.  Y is a
-# float32 constant in the C source, widened to double; its literal is a
-# float32 value already (0x1.fdbcep-1), so the widening changes no bit.
-_PSI_Y = float(np.float32(0.99558162689208984))
-_PSI_ROOT1 = 1569415565.0 / 1073741824.0
-_PSI_ROOT2 = (381566830.0 / 1073741824.0) / 1073741824.0
-_PSI_ROOT3 = 0.9016312093258695918615325266959189453125e-19
-_PSI_P = (
-    -0.0020713321167745952,
-    -0.045251321448739056,
-    -0.28919126444774784,
-    -0.65031853770896507,
-    -0.32555031186804491,
-    0.25479851061131551,
+# The Taylor route of _chi_over_n_by_periods needs K >= _TAYLOR_K periods:
+# there _hurwitz_zeta is accurate, and each tail term is at most a tenth of the last.
+_TAYLOR_K = 10
+
+# Residues per pass of _chi_over_n_by_periods.  Its five float64 buffers
+# (640 KiB) stay in L2, and a chunk's sum of r chi(r), below 2^14 q <= 2^40,
+# is an integer that np.sum adds exactly in float64.
+_PERIOD_CHUNK = 2**14
+
+# B_2k = N/D for k = 1..10.  _EM_COEF holds B_2k/(2k)!, each rounded once:
+# the Euler-Maclaurin coefficients of _hurwitz_zeta.
+_B2K = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66),
+    (-691, 2730), (7, 6), (-3617, 510), (43867, 798), (-174611, 330),
 )
-_PSI_Q = (
-    -0.55789841321675513e-6,
-    0.0021284987017821144,
-    0.054151797245674225,
-    0.43593529692665969,
-    1.4606242909763515,
-    2.0767117023730469,
-    1.0,
-)
-# Cephes' asymptotic series for x >= 10: psi(x) = log x - 0.5/x - z A(z),
-# z = 1/x^2, with the z A(z) term dropped from x = 1e17 on.
-_PSI_A = (
-    8.33333333333333333333e-2,
-    -2.10927960927960927961e-2,
-    7.57575757575757575758e-3,
-    -4.16666666666666666667e-3,
-    3.96825396825396825397e-3,
-    -8.33333333333333333333e-3,
-    8.33333333333333333333e-2,
-)
-_PSI_ASY_CUT = 1e17
-# Elements per pass of _digamma_pair: its five scratch rows (640 KiB) stay
-# in a 2 MiB L2 cache.  Whole-array passes over phi(q) elements were slower
-# than scipy, and passes of 4096 elements only as fast, on a 2-vCPU host.
-_PSI_CHUNK = 2**14
+_EM_COEF = tuple(n / (d * math.factorial(2 * k)) for k, (n, d) in enumerate(_B2K, 1))
 
 
-def _polevl(z: np.ndarray, coef: tuple[float, ...], out: np.ndarray) -> np.ndarray:
-    """coef[0] z^N + ... + coef[N] by Horner's rule into out, as Cephes' polevl."""
-    np.multiply(z, coef[0], out)
-    np.add(out, coef[1], out)
-    for c in coef[2:]:
-        np.multiply(out, z, out)
-        np.add(out, c, out)
-    return out
+def _hurwitz_zeta(s: int, a: float) -> float:
+    """zeta(s, a) = sum_{n>=0} (a + n)^-s for an integer s >= 2 and a >= 10.
 
-
-def _psi_1_2(x: np.ndarray, out: np.ndarray, s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """psi(x) for x in [1, 2] into out (Cephes' digamma_imp_1_2); s, g scratch."""
-    np.subtract(x, 1.0, g)
-    _polevl(g, _PSI_P, out)
-    np.divide(out, _polevl(g, _PSI_Q, s), out)
-    np.subtract(x, _PSI_ROOT1, g)
-    np.subtract(g, _PSI_ROOT2, g)
-    np.subtract(g, _PSI_ROOT3, g)
-    np.multiply(g, _PSI_Y, s)
-    np.multiply(g, out, out)
-    return np.add(s, out, out)
-
-
-def _digamma_pair(K: int, t: np.ndarray) -> np.ndarray:
-    """psi(K + t) - psi(t) for an int K >= 1 and float64 t in (0, 1).
-
-    Each psi follows Cephes' psi, which scipy.special.digamma runs at
-    x > 0, operation for operation:
-      - psi(t) = -1/t + R(t + 1), R the rational approximation on [1, 2];
-      - for K <= 9, psi(K + t) takes x -= 1, y += 1/x down to (1, 2), then R;
-      - for K >= 10, the asymptotic series, without z A(z) once x >= 1e17
-        (where x*x would also overflow near 1e154).
-    Cephes' branch for an integer x <= 10 never runs: t = r/q with q <= 2^26
-    is at least 2^-26 from 0 and from 1, far above an ulp of K + t.  Every
-    operation is an IEEE one that numpy rounds as C does, except np.log,
-    which may differ from libm's log in the last bit (see
-    _chi_over_n_by_periods).  The work goes in chunks of _PSI_CHUNK
-    elements through reused scratch rows.
+    Euler-Maclaurin at a itself: a^(1-s)/(s-1) + a^-s/2 plus the terms
+    B_2k/(2k)! s(s+1)...(s+2k-2) a^(1-s-2k), k <= 10.  For real s the error
+    is at most the first term left out, under 1e-19 at a >= 10 for each s.
+    The powers of a are negative, so at a huge a they underflow to 0 and
+    raise nothing.
     """
-    n = t.size
-    out = np.empty(n, dtype=np.float64)
-    m = min(n, _PSI_CHUNK)
-    rows = np.empty((5, m), dtype=np.float64)
-    Kf = float(K)
-    # K + t rounds into [Kf, Kf + 1], and the floats next to 1e17 are 16
-    # apart, so x >= 1e17 holds for every t exactly when Kf >= 1e17.
-    series = Kf < _PSI_ASY_CUT
-    for lo in range(0, n, m):
-        k = min(m, n - lo)
-        tc = t[lo : lo + k]
-        x, y, a, b, c = (row[:k] for row in rows)
-        res = out[lo : lo + k]
-        # psi(t)
-        np.divide(-1.0, tc, res)
-        np.add(tc, 1.0, x)
-        np.add(res, _psi_1_2(x, a, b, c), res)
-        # psi(K + t), into a
-        np.add(tc, Kf, x)
-        if K >= 10:
-            np.log(x, a)
-            np.subtract(a, np.divide(0.5, x, b), a)
-            if series:
-                np.multiply(x, x, b)
-                np.divide(1.0, b, b)
-                np.multiply(b, _polevl(b, _PSI_A, c), c)
-                np.subtract(a, c, a)
-        else:
-            a.fill(0.0)
-            for _ in range(K - 1):
-                np.subtract(x, 1.0, x)
-                np.add(a, np.divide(1.0, x, b), a)
-            np.add(a, _psi_1_2(x, b, c, y), a)
-        np.subtract(a, res, res)
-    return out
+    total = a ** (1 - s) / (s - 1) + 0.5 * a**-s
+    term = s * a ** (-1 - s)
+    inv2 = 1.0 / (a * a)
+    for k, c in enumerate(_EM_COEF, 1):
+        total += c * term
+        term *= (s + 2 * k - 1) * (s + 2 * k) * inv2
+    return total
+
+
+def _tail_order(K: int) -> int:
+    """The least J >= 1 with K^-(J+1)/(J+1) <= 2^-60, for K >= _TAYLOR_K.
+
+    After J terms the Taylor tail of _chi_over_n_by_periods is off by at
+    most K^-(J+1)/(J+1): term j is at most zeta(j+1, K)/(j+1), and
+    zeta(j+1, K) <= K^-j/j + K^-(j+1).
+    """
+    lk = math.log(K)
+    J = 1
+    while (J + 1) * lk + math.log(J + 1) < 60 * math.log(2):
+        J += 1
+    return J
 
 
 def _chi_over_n_by_periods(D: FundamentalDiscriminant, x: int) -> float:
     """sum_{n<=x} chi(n)/n grouped into complete periods, in O(q) work.
 
-    With x = K q + R (0 <= R < q),
+    With x = K q + R (0 <= R < q) and t = r/q, the sum is
 
-        sum_{n<=Kq} chi(n)/n = (1/q) sum_{r=1}^{q} chi(r) [psi(K + r/q) - psi(r/q)]
+        L(1, chi) + (1/q) sum_{r<q} chi(r) sum_{j=1}^{J} (-1)^(j+1) zeta(j+1, K) t^j
+                  + sum_{r<=R} chi(r)/(K q + r).
 
-    (psi = digamma), plus the literal partial block of the R terms
-    chi(r)/(Kq + r).  chi(1..q) is the cached period rotated by one place.
-    The digamma pair is evaluated only at the phi(q) units r, where
-    chi(r) != 0, and the products are scattered into a zero array of length
-    q: np.sum then runs the same pairwise tree over the same nonzero terms
-    as a sum over all q residues, and a zero term (of either sign) cannot
-    change a nonzero sum.  The tail denominators are built in float64, so a
-    huge x cannot overflow an integer; float(K q) + r is exact, and the
-    value equals an int64 build bit for bit, for every x <= 2^53.
+    The first K periods are (1/q) sum_r chi(r) [psi(K + t) - psi(t)], where
+    -(1/q) sum_r chi(r) psi(t) is L(1) and psi(K + t) is expanded about K;
+    psi(K) drops out, as a full period of chi sums to 0.  J comes from
+    _tail_order, the zetas from _hurwitz_zeta, and L(1) from its closed
+    form (Davenport, Multiplicative Number Theory, ch. 1):
 
-    The digamma pair comes from _digamma_pair, which repeats the operations
-    of scipy.special.digamma.  Its one difference is np.log, used for
-    psi(K + t) at K >= 10: on an AVX-512 host numpy's vectorised log
-    differs from libm's log in the last bit on about 1e-4 of arguments.
-    Over the fundamental |d| <= 1e4 at x = 1e12, that moved one L(1) of
-    6086 by one ulp: d = -4479 gives 3.285922994097901 with scipy and
-    3.2859229940979016 here.  The scan CSV did not change.
+        odd chi (d < 0):  -pi sum_{r<q} r chi(r) / q^(3/2)
+        even chi (d > 0): -(2/sqrt(q)) sum_{r<q/2} chi(r) log sin(pi r/q)
+
+    The odd sum is an integer, exact in every chunk.  Below K = _TAYLOR_K
+    the first K periods are summed literally, as chi(r)/(k q + r), k < K.
+    One pass goes over r in chunks of _PERIOD_CHUNK through reused buffers
+    and takes the closed form, the Horner evaluation of the tail and the
+    literal blocks together: no length-q float array, no BLAS routine.  The
+    chunk sums are added by math.fsum.
+
+    Rounding (eps = 2^-52, if np.sin and np.log are within 4 ulp): at
+    K >= _TAYLOR_K the value is within 4 eps (log q + 4) of the truncated
+    sum for odd chi, and within 4 eps (8 sqrt(q) + log q + 4) for even chi,
+    whose log sin terms add up to at most q/2 in size.  Below, it is within
+    17 eps (log x + 2).
     """
     q = D.q
     per = chi_period(D)
     K, R = divmod(x, q)
-    ch = np.concatenate((per[1:], per[:1]))
-    nz = np.flatnonzero(ch)
-    t = (nz + 1) / q
-    terms = np.zeros(q, dtype=np.float64)
-    terms[nz] = ch[nz] * _digamma_pair(K, t)
-    main = float(np.sum(terms)) / q
-    den = float(K * q) + np.arange(1, R + 1, dtype=np.float64)
-    return main + float(np.sum(per[1 : R + 1] / den))
+    taylor = K >= _TAYLOR_K
+    if taylor:
+        J = _tail_order(K)
+        coef = [(-1) ** (j + 1) * _hurwitz_zeta(j + 1, float(K)) for j in range(1, J + 1)]
+        blocks = [(K, R)]
+    else:
+        blocks = [(k, q - 1) for k in range(K)] + [(K, R)]
+    odd = D.d < 0
+    half = (q + 1) // 2
+    m = min(q - 1, _PERIOD_CHUNK)
+    base = np.arange(m, dtype=np.float64)
+    r_buf, chi_buf, t_buf, w_buf = (np.empty(m, dtype=np.float64) for _ in range(4))
+    closed, tail, literal = [], [], []
+    for lo in range(1, q, m):
+        n = min(m, q - lo)
+        r, chi, t, w = r_buf[:n], chi_buf[:n], t_buf[:n], w_buf[:n]
+        np.add(base[:n], lo, out=r)
+        np.copyto(chi, per[lo : lo + n])
+        for k, top in blocks:
+            k2 = min(n, top - lo + 1)
+            if k2 > 0:
+                np.add(r[:k2], float(k * q), out=w[:k2])
+                np.divide(chi[:k2], w[:k2], out=w[:k2])
+                literal.append(float(np.sum(w[:k2])))
+        if not taylor:
+            continue
+        np.divide(r, q, out=t)
+        np.multiply(t, coef[-1], out=w)
+        for c in reversed(coef[:-1]):
+            np.add(w, c, out=w)
+            np.multiply(w, t, out=w)
+        np.multiply(w, chi, out=w)
+        tail.append(float(np.sum(w)))
+        if odd:
+            np.multiply(r, chi, out=w)
+            closed.append(int(np.sum(w)))
+        elif lo < half:
+            v = w[: min(n, half - lo)]
+            np.multiply(t[: v.size], math.pi, out=v)
+            np.sin(v, out=v)
+            np.log(v, out=v)
+            np.multiply(v, chi[: v.size], out=v)
+            closed.append(float(np.sum(v)))
+    if not taylor:
+        return math.fsum(literal)
+    if odd:
+        l1 = -math.pi * sum(closed) / (q * math.sqrt(q))
+    else:
+        l1 = -2.0 * math.fsum(closed) / math.sqrt(q)
+    return math.fsum((l1, math.fsum(tail) / q, math.fsum(literal)))
 
 
 def _check_truncation(x: float, q: int) -> None:
@@ -496,11 +474,8 @@ def l_one_prime_tau(D: FundamentalDiscriminant, x: float) -> LValueEstimate:
 def class_number_oracle(D: FundamentalDiscriminant) -> LValueEstimate:
     """Exact L(1, chi) for d < 0 via the class number formula.
 
-    h(d) is counted by enumerating reduced integral binary quadratic forms
-    (a, b, c) of discriminant d: b^2 - 4ac = d with -a < b <= a <= c and
-    b >= 0 whenever a = c, one numpy pass over b for each a <= sqrt(q/3).
-    Then L(1, chi) = 2 pi h / (w sqrt(q)) where the unit count w is 6 for
-    d = -3, 4 for d = -4, and 2 otherwise.
+    L(1, chi) = 2 pi h / (w sqrt(q)), with h = h(d) counted by _form_count
+    and the unit count w = 6 for d = -3, 4 for d = -4, and 2 otherwise.
     """
     d = D.d
     if d >= 0:
@@ -508,14 +483,24 @@ def class_number_oracle(D: FundamentalDiscriminant) -> LValueEstimate:
     q = D.q
     if q > 10**6:
         raise DomainError("class number oracle limited to |d| <= 1e6")
-    h = 0
-    for a in range(1, math.isqrt(q // 3) + 1):
-        b = np.arange(-a + 1, a + 1, dtype=np.int64)
-        c, r = np.divmod(b * b - d, 4 * a)
-        h += int(np.count_nonzero((r == 0) & (c >= a) & ((c > a) | (b >= 0))))
+    h = _form_count(d)
     w = 6 if d == -3 else 4 if d == -4 else 2
     value = 2.0 * math.pi * h / (w * math.sqrt(q))
     return LValueEstimate(value=value, truncation=math.inf, bound=0.0, method="class-number")
+
+
+def _form_count(d: int) -> int:
+    """h(d): the reduced integral binary quadratic forms of discriminant d < 0.
+
+    (a, b, c) with b^2 - 4ac = d, -a < b <= a <= c and b >= 0 whenever
+    a = c, counted by one numpy pass over b for each a <= sqrt(|d|/3).
+    """
+    h = 0
+    for a in range(1, math.isqrt(-d // 3) + 1):
+        b = np.arange(-a + 1, a + 1, dtype=np.int64)
+        c, r = np.divmod(b * b - d, 4 * a)
+        h += int(np.count_nonzero((r == 0) & (c >= a) & ((c > a) | (b >= 0))))
+    return h
 
 
 @_ARRAYS

@@ -108,6 +108,12 @@ class _ArrayCache:
 
         return cached
 
+    def evict(self, build: Callable, *args) -> None:
+        """Drop what the decorated build holds for args, if anything."""
+        value = self._held.pop((build.__name__, *args), None)
+        if value is not None:
+            self.nbytes -= _nbytes(value)
+
     def clear(self) -> None:
         self._held.clear()
         self.nbytes = 0

@@ -25,6 +25,7 @@ from siegelscan import (
     kronecker_symbol,
     primes_upto,
 )
+from siegelscan import characters
 
 # hand-enumerated: every fundamental discriminant in [-50, -1]
 NEG_FUNDAMENTALS_TO_50 = [
@@ -242,7 +243,8 @@ def test_array_cache_holds_within_budget(monkeypatch):
     monkeypatch.setattr(_ARRAYS, "budget", 100_000)
     try:
         scan_discriminants(-300, 300, 1e4)
-        assert {"_period", "_prime_logs"} <= check_held()
+        # each row drops its chi period (test_scan_drops_each_chi_period)
+        assert "_prime_logs" in check_held() and "_period" not in check_held()
         # 184 periods and the 1/n and tau weights at 1e4 (80 kB each) were built
         assert len(_ARRAYS._held) < sum(_ARRAYS.misses.values())
         # the suite reads the periods of -3, -4 and -8 next to the scan's arrays
@@ -256,6 +258,47 @@ def test_array_cache_holds_within_budget(monkeypatch):
         built = _ARRAYS.misses - misses
         for kind in ("_sieve_columns", "_rho_base"):
             assert built[kind] > full_built[kind] > 0, (built, full_built)
+    finally:
+        _ARRAYS.clear()
+
+
+def test_scan_drops_each_chi_period(monkeypatch):
+    # a scan reads each period for one row; dropping it after the row leaves
+    # the rows and the builds as they were with every period held
+    from siegelscan.primes import _ARRAYS
+    from siegelscan.scan import scan_discriminants
+
+    def scan():
+        _ARRAYS.clear()
+        misses = _ARRAYS.misses.copy()
+        rows = scan_discriminants(-300, 300, 1e4)
+        return rows, _ARRAYS.misses - misses, {k for k in _ARRAYS._held if k[0] == "_period"}
+
+    try:
+        rows, built, held = scan()
+        assert built["_period"] == len(rows) and not held
+        assert _ARRAYS.nbytes == sum(
+            sum(a.nbytes for a in (v if isinstance(v, tuple) else (v,)))
+            for v in _ARRAYS._held.values()
+        )
+        monkeypatch.setattr(type(_ARRAYS), "evict", lambda self, build, *args: None)
+        rows_held, built_held, held = scan()
+        assert rows_held == rows and built_held == built and len(held) == len(rows)
+    finally:
+        _ARRAYS.clear()
+
+
+def test_array_cache_evicts_by_key():
+    from siegelscan.primes import _ARRAYS
+
+    _ARRAYS.clear()
+    try:
+        a, b = chi_period(FundamentalDiscriminant(-4)), chi_period(FundamentalDiscriminant(5))
+        assert _ARRAYS.nbytes == a.nbytes + b.nbytes
+        _ARRAYS.evict(characters._period, -4)
+        assert list(_ARRAYS._held) == [("_period", 5)] and _ARRAYS.nbytes == b.nbytes
+        _ARRAYS.evict(characters._period, -4)  # not held: nothing to do
+        assert _ARRAYS.nbytes == b.nbytes
     finally:
         _ARRAYS.clear()
 

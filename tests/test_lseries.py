@@ -1,5 +1,6 @@
 """L-values at s = 1, Euler products, error functionals, multiplicative means."""
 
+import functools
 import gc
 import importlib
 import inspect
@@ -9,13 +10,13 @@ import tracemalloc
 import warnings
 import weakref
 from collections import Counter
+from itertools import chain, compress, repeat
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import digamma
 
 import siegelscan
 from siegelscan import (
@@ -646,166 +647,288 @@ def test_tau_over_n_sum_capacity_guard(monkeypatch):
 
 # ------------------------------------------------ the complete-period route
 
+EPS = 2.0**-52
 
-def period_sum_reference(D, x):
-    """sum_{n<=x} chi(n)/n by complete periods, over all q residues.
+# The truncation error allowed to truncated_sum_reference's Taylor tail:
+# below a thousandth of the smallest rounding bound of the route.
+REF_TAIL = 1e-18
 
-    The formula the phi(q) route replaced: chi(1..q) gathered by an integer
-    modulo, digamma at every residue, and an int64 tail denominator.  The
-    route must equal it bit for bit.
+
+@functools.lru_cache(maxsize=None)
+def l_one_reference(d):
+    """L(1, chi_d) to 30 digits, by the closed forms.
+
+    Odd chi: -pi S / q^(3/2) with S = sum_{r<q} r chi(r) an exact integer.
+    Even chi: -(2/sqrt(q)) sum_{r<q/2} chi(r) log sin(pi r/q), with
+    sin(pi r/q) run by s_{r+1} = 2 cos(pi/q) s_r - s_{r-1} in Python ints
+    scaled by 2^F.  Each step adds at most 2 units of 2^-F to an error that
+    the recurrence carries forward with a gain of at most 1/sin(pi/q) <= q/2,
+    so s_r is within r q units of sin(pi r/q) >= 2r/q: a relative error
+    below q^2 2^-F, and the sum of the q/2 logs is within q^3 2^-F, under
+    1e-38 for q < 2^21.  The products of the s_r with chi(r) = 1 and with
+    chi(r) = -1 are cut back to F bits after every 4 factors, and mpmath
+    takes one log of each.
     """
-    per = chi_period(D)
+    D = FundamentalDiscriminant(d)
     q = D.q
+    per = chi_period(D)
+    if d < 0:
+        S = int(np.sum(np.arange(q, dtype=np.int64) * per))
+        with mpmath.workdps(30):
+            return -mpmath.pi * S / mpmath.mpf(q) ** 1.5
+    F = 192
+    with mpmath.workdps(100):
+        c = int(mpmath.floor(2 * mpmath.cos(mpmath.pi / q) * 2**F))
+        cur = int(mpmath.floor(mpmath.sin(mpmath.pi / q) * 2**F))
+    prev, sines = 0, []
+    for _ in range((q - 1) // 2):
+        sines.append(cur)
+        prev, cur = cur, ((c * cur) >> F) - prev
+    chi = per[1 : (q + 1) // 2]
+    with mpmath.workdps(40):
+        s = mpmath.mpf(0)
+        for sign in (1, -1):
+            vals = list(compress(sines, (chi == sign).tolist()))
+            mant, exp = 1, 0
+            for lo in range(0, len(vals), 4):
+                mant *= math.prod(vals[lo : lo + 4])
+                exp -= F * len(vals[lo : lo + 4])
+                extra = max(mant.bit_length() - F, 0)
+                mant >>= extra
+                exp += extra
+            s += sign * (mpmath.log(mant) + exp * mpmath.log(2))
+        return +(-2 * s / mpmath.sqrt(q))
+
+
+@functools.lru_cache(maxsize=None)
+def zeta_reference(s, K):
+    """zeta(s, K) to 30 digits for an integer K >= 1.
+
+    mpmath takes zeta(s) minus the first K - 1 terms, so it loses the
+    s log10(K) leading digits that cancel; the working precision covers them.
+    """
+    with mpmath.workdps(30 + int(s * math.log10(K)) + 1):
+        return mpmath.zeta(s, K)
+
+
+def signed_power_sums(per, J):
+    """[sum_{r<q} chi(r) r^j for j = 1..J], exactly.
+
+    In int64 while q^(j+1) < 2^63 bounds every term and sum, in Python ints
+    beyond.
+    """
+    q = per.size
+    r = np.flatnonzero(per)
+    chi = per[r].astype(np.int64)
+    sums = []
+    for j in range(1, J + 1):
+        if q ** (j + 1) < 2**63:
+            sums.append(int(np.sum(chi * r**j)))
+        else:
+            pos, neg = r[chi > 0].tolist(), r[chi < 0].tolist()
+            sums.append(sum(map(pow, pos, repeat(j))) - sum(map(pow, neg, repeat(j))))
+    return sums
+
+
+def truncated_sum_reference(D, x):
+    """(ref, err): sum_{n<=x} chi(n)/n is within err of the mpmath value ref.
+
+    For x = K q + R with K >= 10: l_one_reference, plus the Taylor tail
+    (1/q) sum_{j<=J} (-1)^(j+1) zeta(j+1, K) m_j from exact integer moments
+    m_j q^j and mpmath.zeta, with J large enough that the terms left out add
+    up to at most REF_TAIL; plus the literal block sum_{r<=R} chi(r)/(Kq+r)
+    by literal_fsum, within 2^-51 R/(Kq).  Below K = 10 the whole sum is
+    one literal block, within 2^-52 (log x + 2).
+    """
+    q = D.q
+    per = chi_period(D)
     K, R = divmod(x, q)
-    r = np.arange(1, q + 1, dtype=np.float64)
-    ch = per[np.arange(1, q + 1) % q].astype(np.float64)
-    main = float(np.sum(ch * (digamma(K + r / q) - digamma(r / q)))) / q
-    if R:
-        rr = np.arange(1, R + 1)
-        tail = float(np.sum(per[rr % q] / (K * q + rr)))
-    else:
-        tail = 0.0
-    return main + tail
+    if K < 10:
+        return literal_fsum(per, q, 0, x), EPS * (math.log(x) + 2)
+    J = 1
+    while (J + 1) * math.log(K) + math.log(J + 1) < -math.log(REF_TAIL):
+        J += 1
+    M = signed_power_sums(per, J)
+    with mpmath.workdps(30):
+        tail = mpmath.fsum(
+            (-1) ** (j + 1) * zeta_reference(j + 1, K) * M[j - 1] / mpmath.mpf(q) ** (j + 1)
+            for j in range(1, J + 1)
+        )
+        ref = l_one_reference(D.d) + tail + literal_fsum(per, q, K * q, R)
+    return ref, REF_TAIL + 2 * EPS * R / (K * q)
 
 
-def assert_period_route_equals_reference(Ds, xs_of_q):
-    for D in Ds:
-        for x in xs_of_q(D.q):
-            assert lseries._chi_over_n_by_periods(D, x) == period_sum_reference(D, x), (D.d, x)
+def literal_fsum(per, q, start, n):
+    """math.fsum of chi(start + r)/(start + r) over 0 < r <= n, start a multiple of q.
+
+    Each term is rounded once, and twice when start > 2^53.
+    """
+    chunks = (np.arange(lo, min(lo + 2**20, n + 1)) for lo in range(1, n + 1, 2**20))
+    terms = ((per[r % q] / (float(start) + r)).tolist() for r in chunks)
+    return math.fsum(chain.from_iterable(terms))
+
+
+def rounding_bound(D, x):
+    """The rounding bound that _chi_over_n_by_periods states for its value."""
+    q = D.q
+    if x // q < lseries._TAYLOR_K:
+        return 17 * EPS * (math.log(x) + 2)
+    if D.d < 0:
+        return 4 * EPS * (math.log(q) + 4)
+    return 4 * EPS * (8 * math.sqrt(q) + math.log(q) + 4)
+
+
+def assert_period_route_within_rounding(D, x, value=None):
+    got = lseries._chi_over_n_by_periods(D, x) if value is None else value
+    ref, ref_err = truncated_sum_reference(D, x)
+    assert abs(got - ref) <= rounding_bound(D, x) + ref_err, (D.d, x, got, ref)
 
 
 def test_period_route_equals_reference_small_q():
-    # x = 7q + r covers an empty tail (r = 0), one term and q - 1 terms
-    assert_period_route_equals_reference(
-        enumerate_fundamentals(-2000, 2000),
-        lambda q: (q * q, 10**12, 7 * q, 7 * q + 1, 8 * q - 1),
-    )
+    # within the stated rounding bound of the 30-digit value, not bit for bit
+    for D in enumerate_fundamentals(-2000, 2000):
+        assert_period_route_within_rounding(D, 10**12)
 
 
 def test_period_route_equals_reference_large_q():
     window = fundamentals_with_q_in(200001, 200030)
-    assert_period_route_equals_reference(window, lambda q: (250000**2,))
+    for D in window:
+        assert_period_route_within_rounding(D, 250000**2)
     near_1e6 = []
     for c in (-(10**6), 10**6):
         near_1e6 += list(enumerate_fundamentals(c - 60, c - 1))[-5:]
         near_1e6 += list(enumerate_fundamentals(c + 1, c + 60))[:5]
     assert len(near_1e6) == 20
-    assert_period_route_equals_reference(near_1e6, lambda q: (4 * 10**12,))
+    for D in near_1e6:
+        assert_period_route_within_rounding(D, 4 * 10**12)
 
 
 def test_l_one_takes_the_period_route_above_the_direct_limit():
-    # q large enough that x < K0 q: the direct limit alone picks the route
-    D = FundamentalDiscriminant(-999983)
+    # q large enough that x < K0 q: the direct limit alone picks the route.
+    # At q > x/10 fewer than 10 periods fit, and they are summed literally.
     x = lseries._DIRECT_LIMIT + 1
-    assert x < lseries._PERIOD_K0 * D.q
-    assert l_one(D, x).value == period_sum_reference(D, x)
+    big = list(enumerate_fundamentals(-2_000_100, -2_000_001))[-1]
+    for D in (FundamentalDiscriminant(-999983), big):
+        assert x < lseries._PERIOD_K0 * D.q
+        value = l_one(D, x).value
+        assert value == lseries._chi_over_n_by_periods(D, x)
+        assert_period_route_within_rounding(D, x, value)
+    assert x // big.q == 9
 
 
-@pytest.mark.parametrize("d", [-3, -4, 5, 8, -8, -23, 293, -299, -1007, 4001])
+ROUTE_DS = [-3, -4, 5, 8, -8, -23, 293, -299, -1007, 4001]
+
+
+@pytest.mark.parametrize("d", ROUTE_DS)
 def test_l_one_route_switches_at_k0_periods(d):
-    # complete periods from x = K0 q on, bit for bit; the literal sum of x
-    # terms one below.  Each tail length R = x mod q is covered: 0, 1, q - 1.
+    # complete periods from x = K0 q on, within the rounding bound of the
+    # 30-digit value; the literal sum of x terms, bit for bit, one below.
+    # Each tail length R = x mod q is covered: 0, 1, q - 1.
     D = FundamentalDiscriminant(d)
     q = D.q
     x0 = lseries._PERIOD_K0 * q
     assert l_one(D, x0 - 1).value == literal_sums(D, x0 - 1)[0]
     for x in (x0, x0 + 1, x0 + q - 1, 10**6):
-        assert l_one(D, x).value == period_sum_reference(D, x), x
+        value = l_one(D, x).value
+        assert value == lseries._chi_over_n_by_periods(D, x), x
+        assert_period_route_within_rounding(D, x, value)
 
 
-# ------------------------------------------------- the in-package digamma
+@pytest.mark.parametrize("d", ROUTE_DS)
+def test_period_route_near_ten_periods(d):
+    # the Taylor route from K = 10 on, where its J is largest, and the
+    # literal periods below; x = q^2 has K = q
+    q = FundamentalDiscriminant(d).q
+    for x in (7 * q, 7 * q + 1, 10 * q - 1, 10 * q, 10 * q + 1, 11 * q - 1, q * q):
+        assert_period_route_within_rounding(FundamentalDiscriminant(d), x)
 
 
-def units_over(q, step=1):
-    """t = r/q for the units r mod q, every step-th r, and r = 1, 2, q-2, q-1."""
-    r = np.union1d(np.arange(1, q, step), [1, 2, q - 2, q - 1])
-    return r[np.gcd(r, q) == 1] / q
+def test_period_route_at_huge_x():
+    # x = 1e300: zeta(s, K) underflows to 0 past s = 2, J = 1, and no numpy
+    # operation may overflow, underflow or divide by zero
+    x = math.floor(1e300)
+    for d in (-3, -4, 5, 8, -299, 293, -200003, 200009):
+        D = FundamentalDiscriminant(d)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            value = l_one(D, 1e300).value
+        assert_period_route_within_rounding(D, x, value)
 
 
-DIGAMMA_QS = [(3, 1), (4, 1), (8, 1), (24, 1), (293, 1), (1009, 1), (200003, 1)]
-DIGAMMA_QS += [(2**26 - 5, 997)]  # a prime near the period cap, subsampled
+def test_period_route_chunks_stay_within_rounding(monkeypatch):
+    # chunks of 1 and 7 residues, at both parities and across q/2
+    for chunk in (1, 7):
+        monkeypatch.setattr(lseries, "_PERIOD_CHUNK", chunk)
+        for d in (-299, 293, -1007, 4001):
+            D = FundamentalDiscriminant(d)
+            for x in (10 * D.q + 5, 10**9):
+                assert_period_route_within_rounding(D, x)
 
 
-def cephes_psi_asy(x, log):
-    """Cephes' psi for x >= 10 in Python floats, with log(x) supplied."""
-    y = 0.0
-    if x < 1e17:
-        z = 1.0 / (x * x)
-        p = lseries._PSI_A[0]
-        for c in lseries._PSI_A[1:]:
-            p = p * z + c
-        y = z * p
-    return log - 0.5 / x - y
+def test_period_route_makes_no_length_q_array():
+    D = list(enumerate_fundamentals(-10**6, -999_900))[-1]
+    chi_period(D)
+    tracemalloc.start()
+    try:
+        lseries._chi_over_n_by_periods(D, 4 * 10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
-def assert_pair_matches_scipy(K, t):
-    """_digamma_pair(K, t) == scipy's digamma(K + t) - digamma(t), but for np.log.
-
-    The port's one operation that may round differently from scipy's is
-    np.log, in the series for K >= 10.  Where np.log(K + t) equals
-    math.log(K + t) the pair must equal scipy's.  Elsewhere the two logs
-    must be one ulp apart, and the pair must equal Cephes' series evaluated
-    with np.log's value, the same series with math.log being scipy's.
-    """
-    got = lseries._digamma_pair(K, t)
-    x = K + t
-    psi_x, psi_t = digamma(x), digamma(t)
-    if K < 10:
-        assert np.array_equal(got, psi_x - psi_t), K
-        return
-    np_log = np.log(x)
-    libm_log = np.array([math.log(v) for v in x.tolist()])
-    same = np_log == libm_log
-    assert same.mean() > 0.99, K
-    assert np.array_equal(got[same], (psi_x - psi_t)[same]), K
-    for i in np.flatnonzero(~same).tolist():
-        v = float(x[i])
-        assert abs(np_log[i] - libm_log[i]) == np.spacing(libm_log[i]), v
-        assert cephes_psi_asy(v, libm_log[i]) == psi_x[i], v
-        assert got[i] == cephes_psi_asy(v, np_log[i]) - psi_t[i], v
+def test_even_closed_form_equals_theta_series():
+    # l_one_reference's log sin form against a route that shares nothing with
+    # it: L(1) = sum_n chi(n) [erfc(n sqrt(pi/q))/n + E1(pi n^2/q)/sqrt(q)]
+    # for even chi, cut where exp(-pi n^2/q) < 1e-32
+    for d in (5, 8, 12, 13, 1009, 4001):
+        D = FundamentalDiscriminant(d)
+        q, per = D.q, chi_period(D)
+        with mpmath.workdps(30):
+            c, root_q = mpmath.sqrt(mpmath.pi / q), mpmath.sqrt(q)
+            theta = mpmath.fsum(
+                int(per[n % q]) * (mpmath.erfc(n * c) / n + mpmath.e1(c * c * n * n) / root_q)
+                for n in range(1, math.isqrt(24 * q) + 2)
+                if per[n % q]
+            )
+            assert abs(theta - l_one_reference(d)) < mpmath.mpf(10) ** -28, d
 
 
-@pytest.mark.parametrize("q, step", DIGAMMA_QS)
-def test_digamma_pair_recurrence_branch_equals_scipy(q, step):
-    # K <= 9 goes down to (1, 2] by x -= 1, y += 1/x: no log, every bit equal
-    t = units_over(q, step)
-    for K in range(1, 10):
-        assert np.array_equal(lseries._digamma_pair(K, t), digamma(K + t) - digamma(t)), K
+def test_odd_integer_sum_equals_the_form_count():
+    # h(d) = -(1/q) sum_{r<q} r chi(r) for d < -4, exactly
+    for D in enumerate_fundamentals(-10**4, -5):
+        q = D.q
+        S = int(np.sum(np.arange(q, dtype=np.int64) * chi_period(D)))
+        assert S % q == 0 and lseries._form_count(D.d) == -S // q, D.d
 
 
-@pytest.mark.parametrize("K", [10, 11, 1000, 312496, 10**16])
-def test_digamma_pair_series_branch_equals_scipy(K):
-    for q, step in DIGAMMA_QS:
-        assert_pair_matches_scipy(K, units_over(q, step))
+@pytest.mark.parametrize("K", [10, 11, 32, 1000, 312496, 10**12, 10**300])
+def test_tail_order_is_the_least_that_meets_its_bound(K):
+    J = lseries._tail_order(K)
+    bound = lambda j: mpmath.mpf(K) ** -(j + 1) / (j + 1)
+    assert bound(J) <= mpmath.mpf(2) ** -60
+    assert J == 1 or bound(J - 1) > mpmath.mpf(2) ** -60
+    if K <= 1000:
+        # the terms left out, each at most zeta(j+1, K)/(j+1), add up to at
+        # most that bound (their sum past j = J + 20 is below 1e-40)
+        left = sum(zeta_reference(j + 1, K) / (j + 1) for j in range(J + 1, J + 21))
+        assert left <= bound(J)
 
 
-@pytest.mark.parametrize("K", [10**17, 10**300])
-def test_digamma_pair_past_the_series_cut(K):
-    # the z A(z) term is dropped, so x*x (1e600 at K = 1e300) is never formed
-    t = units_over(1009)
-    with warnings.catch_warnings(), np.errstate(all="raise"):
-        warnings.simplefilter("error")
-        assert_pair_matches_scipy(K, t)
-
-
-def test_psi_on_one_two_equals_scipy():
-    # digamma_imp_1_2 on its own: near its zero 1.4616... the third part of
-    # the root decides the low bits, which the pair's larger values hide
-    root = lseries._PSI_ROOT1 + lseries._PSI_ROOT2
-    near = [root]
-    for _ in range(64):
-        near = [np.nextafter(near[0], 0.0)] + near + [np.nextafter(near[-1], 2.0)]
-    x = np.concatenate([1.0 + units_over(200003), np.linspace(1.0, 2.0, 4097), near])
-    buf = np.empty((3, x.size))
-    assert np.array_equal(lseries._psi_1_2(x, *buf), digamma(x))
-
-
-def test_digamma_pair_chunks_do_not_change_values(monkeypatch):
-    t = units_over(200003)
-    whole = lseries._digamma_pair(1000, t)
-    for chunk in (1, 7, 4096):
-        monkeypatch.setattr(lseries, "_PSI_CHUNK", chunk)
-        assert np.array_equal(lseries._digamma_pair(1000, t[:5000]), whole[:5000]), chunk
+@pytest.mark.parametrize("K", [10, 11, 32, 1000, 312496, 10**12, 10**150, 10**300])
+def test_hurwitz_zeta_within_its_error_term(K):
+    # within 4 ulp plus the first Euler-Maclaurin term left out, which is
+    # what limits it at large s and small K
+    for s in range(2, 22):
+        got = lseries._hurwitz_zeta(s, float(K))
+        if (s - 1) * math.log10(K) > 310:  # zeta(s, K) < K^(1-s) < 1e-310
+            assert got < 1e-300, (s, K)
+            continue
+        want = zeta_reference(s, K)
+        with mpmath.workdps(30):
+            left_out = abs(mpmath.bernoulli(22)) / mpmath.factorial(22) * mpmath.rf(s, 21)
+            left_out *= mpmath.mpf(K) ** (-s - 21)
+        assert abs(got - want) <= 4 * math.ulp(float(want)) + left_out, (s, K)
 
 
 def test_weight_cache_builds_each_array_once_within_budget():
