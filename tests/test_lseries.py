@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma
 
 import siegelscan
 from siegelscan import (
@@ -49,7 +50,7 @@ from siegelscan import (
     theta_and_s,
     values_up_to,
 )
-from siegelscan import characters, lseries, sieve, verify
+from siegelscan import _digamma, characters, lseries, sieve, verify
 from siegelscan.primes import _ARRAYS, DEFAULT_MAX_WIDTH, factorize
 from siegelscan.scan import _coprime_zeta2_exact
 from siegelscan.verify import TAU_LOG_GRID, _smoothed
@@ -929,6 +930,50 @@ def test_hurwitz_zeta_within_its_error_term(K):
             left_out = abs(mpmath.bernoulli(22)) / mpmath.factorial(22) * mpmath.rf(s, 21)
             left_out *= mpmath.mpf(K) ** (-s - 21)
         assert abs(got - want) <= 4 * math.ulp(float(want)) + left_out, (s, K)
+
+
+# ------------------------------- the recurrence half of the digamma port
+
+
+def units_over(q, step=1):
+    """t = r/q for the units r mod q, every step-th r, and r = 1, 2, q-2, q-1."""
+    r = np.union1d(np.arange(1, q, step), [1, 2, q - 2, q - 1])
+    return r[np.gcd(r, q) == 1] / q
+
+
+DIGAMMA_QS = [(3, 1), (4, 1), (8, 1), (24, 1), (293, 1), (1009, 1), (200003, 1)]
+DIGAMMA_QS += [(2**26 - 5, 997)]  # a prime near the period cap, subsampled
+
+
+@pytest.mark.parametrize("q, step", DIGAMMA_QS)
+def test_digamma_pair_recurrence_branch_equals_scipy(q, step):
+    # K <= 9 goes down to (1, 2] by x -= 1, y += 1/x: no log, every bit equal
+    t = units_over(q, step)
+    for K in range(1, 10):
+        assert np.array_equal(_digamma._digamma_pair(K, t), digamma(K + t) - digamma(t)), K
+    for K in (0, 10):
+        with pytest.raises(DomainError):
+            _digamma._digamma_pair(K, t)
+
+
+def test_psi_on_one_two_equals_scipy():
+    # digamma_imp_1_2 on its own: near its zero 1.4616... the third part of
+    # the root decides the low bits, which the pair's larger values hide
+    root = _digamma._PSI_ROOT1 + _digamma._PSI_ROOT2
+    near = [root]
+    for _ in range(64):
+        near = [np.nextafter(near[0], 0.0)] + near + [np.nextafter(near[-1], 2.0)]
+    x = np.concatenate([1.0 + units_over(200003), np.linspace(1.0, 2.0, 4097), near])
+    buf = np.empty((3, x.size))
+    assert np.array_equal(_digamma._psi_1_2(x, *buf), digamma(x))
+
+
+def test_digamma_pair_chunks_do_not_change_values(monkeypatch):
+    t = units_over(200003)
+    whole = _digamma._digamma_pair(9, t)
+    for chunk in (1, 7, 4096):
+        monkeypatch.setattr(_digamma, "_PSI_CHUNK", chunk)
+        assert np.array_equal(_digamma._digamma_pair(9, t[:5000]), whole[:5000]), chunk
 
 
 def test_weight_cache_builds_each_array_once_within_budget():
