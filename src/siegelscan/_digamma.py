@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
-
 # scipy.special.digamma at x > 0 is Cephes' psi.  Its rational approximation
 # on [1, 2] is Boost's (John Maddock, 2006, Boost Software License 1.0):
 # psi(x) = g Y + g P(x - 1)/Q(x - 1), where g = x - root is taken off in
@@ -80,8 +78,6 @@ def _digamma_pair(K: int, t: np.ndarray) -> np.ndarray:
     of K + t.  The work goes in chunks of _PSI_CHUNK elements through
     reused scratch rows.
     """
-    if not 1 <= K <= 9:
-        raise DomainError(f"K must be in 1..9, got {K}")
     n = t.size
     out = np.empty(n, dtype=np.float64)
     m = min(n, _PSI_CHUNK)

@@ -11,7 +11,8 @@ d < 0.  Here e(t) = exp(2*pi*i*t).
 One period of chi is built by _period from the factorization of d into prime
 discriminants: a 2-adic table times one Legendre table per odd prime p | d.
 The int8 periods are held, read-only, in the process-wide cache bounded in
-bytes (primes._ARRAYS), least recently used out first.  CapacityError guards
+bytes (primes._ARRAYS), least recently used out first, or until drop_period
+lets one go (the scan does, after each row).  CapacityError guards
 a period longer than primes.DEFAULT_MAX_WIDTH, DomainError a |d| beyond
 primes.RANGE_LIMIT.
 """
@@ -164,6 +165,11 @@ def chi_period(D: FundamentalDiscriminant) -> np.ndarray:
     read-only: a write into it raises ValueError.
     """
     return _period(D.d)
+
+
+def drop_period(D: FundamentalDiscriminant) -> None:
+    """Drop the cached chi_period(D), if held; a later call builds it again."""
+    _ARRAYS.evict(_period, D.d)
 
 
 def chi_values_up_to(D: FundamentalDiscriminant, x: int) -> np.ndarray:

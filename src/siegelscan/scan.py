@@ -13,10 +13,10 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .characters import FundamentalDiscriminant, _period, is_fundamental
+from .characters import FundamentalDiscriminant, drop_period, is_fundamental
 from .errors import DomainError
 from .lseries import euler_p_ratio, l_one, l_one_prime_tau, main_term_product
-from .primes import _ARRAYS, factorize
+from .primes import factorize
 
 __all__ = ["ScanRow", "scan_discriminants", "SCAN_COLUMNS", "write_scan_csv"]
 
@@ -50,7 +50,7 @@ def _scan_one(arg: tuple[int, int]) -> ScanRow:
     rhs = main_term_product(D)
     ratio = pq * l1p.value / _coprime_zeta2_exact(D.q)
     # Each d is one row: its chi period is not read again.
-    _ARRAYS.evict(_period, d)
+    drop_period(D)
     return ScanRow(
         d=d,
         q=D.q,

@@ -701,13 +701,35 @@ def l_one_reference(d):
         return +(-2 * s / mpmath.sqrt(q))
 
 
+# zeta_reference takes K below this from prefix sums shared by every K
+ZETA_PREFIX_K = 2**12
+
+
+@functools.lru_cache(maxsize=None)
+def zeta_prefix(s):
+    """[zeta(s, K) for K = 1 .. ZETA_PREFIX_K], as zeta(s) minus n^-s for n < K.
+
+    The s log10(ZETA_PREFIX_K) leading digits cancel, and each of the K
+    subtractions rounds once, adding log10(K) more: the working precision
+    covers both and keeps 30 digits of zeta(s, K) > K^(1-s)/(s-1).
+    """
+    with mpmath.workdps(30 + int((s + 1) * math.log10(ZETA_PREFIX_K)) + 4):
+        z = [mpmath.zeta(s)]
+        for n in range(1, ZETA_PREFIX_K):
+            z.append(z[-1] - mpmath.mpf(n) ** -s)
+        return z
+
+
 @functools.lru_cache(maxsize=None)
 def zeta_reference(s, K):
     """zeta(s, K) to 30 digits for an integer K >= 1.
 
-    mpmath takes zeta(s) minus the first K - 1 terms, so it loses the
-    s log10(K) leading digits that cancel; the working precision covers them.
+    Below ZETA_PREFIX_K from zeta_prefix.  Above, mpmath.zeta(s, K) works
+    with s log10(K) more digits, which its cancellation may take.
     """
+    if K <= ZETA_PREFIX_K:
+        with mpmath.workdps(30):
+            return +zeta_prefix(s)[K - 1]
     with mpmath.workdps(30 + int(s * math.log10(K)) + 1):
         return mpmath.zeta(s, K)
 
@@ -786,9 +808,13 @@ def assert_period_route_within_rounding(D, x, value=None):
 
 
 def test_period_route_equals_reference_small_q():
-    # within the stated rounding bound of the 30-digit value, not bit for bit
+    # within the stated rounding bound of the 30-digit value, not bit for bit.
+    # x = q^2 has K = q, where J is largest; x = 7q + r sums 7 periods
+    # literally with an empty tail (r = 0), one term and q - 1 terms.
     for D in enumerate_fundamentals(-2000, 2000):
-        assert_period_route_within_rounding(D, 10**12)
+        q = D.q
+        for x in (q * q, 10**12, 7 * q, 7 * q + 1, 8 * q - 1):
+            assert_period_route_within_rounding(D, x)
 
 
 def test_period_route_equals_reference_large_q():
@@ -951,9 +977,6 @@ def test_digamma_pair_recurrence_branch_equals_scipy(q, step):
     t = units_over(q, step)
     for K in range(1, 10):
         assert np.array_equal(_digamma._digamma_pair(K, t), digamma(K + t) - digamma(t)), K
-    for K in (0, 10):
-        with pytest.raises(DomainError):
-            _digamma._digamma_pair(K, t)
 
 
 def test_psi_on_one_two_equals_scipy():
