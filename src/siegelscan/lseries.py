@@ -16,14 +16,14 @@ Every bound covers the truncation only, not floating-point rounding (see
 LValueEstimate).
 
 sum_{n<=x} chi(n)/n takes the cheaper of two routes, which compute the
-same truncated series and differ only in rounding (_chi_over_n_partial).
-Once x >= _PERIOD_K0 q, and always above _DIRECT_LIMIT, it is grouped into
+same truncated series and differ only in rounding (l_one).  Once
+x >= _TAYLOR_K q, and always above _DIRECT_LIMIT, it is grouped into
 complete periods, O(q) work whatever x (_chi_over_n_by_periods): L(1, chi)
 in closed form, minus the periods past K q (x = K q + R) as a short Taylor
 series in r/q with Hurwitz zeta coefficients, plus the literal block of the
 last R terms.  Below that, the literal sum of x terms is cheaper.  The
 period route gives the L(1) at x^2 inside the rearranged route, and the
-scan's L(1) at x whenever x >= _PERIOD_K0 q.  It runs in chunks through
+scan's L(1) at x whenever x >= _TAYLOR_K q.  It runs in chunks through
 reused buffers, with numpy as the one runtime dependency, and states its
 own rounding bound.
 
@@ -108,15 +108,6 @@ EULER_GAMMA = 0.57721566490153286
 # Above this truncation the character sum is evaluated by complete periods
 # instead of literal term-by-term summation.
 _DIRECT_LIMIT = 2 * 10**7
-
-# From x >= _PERIOD_K0 q on, sum_{n<=x} chi(n)/n is taken by complete periods
-# at any x.  Min of 9 runs at x = K q + q/3 on a 2-vCPU host, the literal
-# sum against warm weights: the period route was slower at K = 8 for every q
-# and won from some K between 16 and 32 on at q >= 1e4 (at q = 2e5, K = 32:
-# 12.1 ms literal, 5.6 ms by periods).  At q <= 3000 both stay below 0.3 ms.
-# These timings were of the earlier period route through the digamma
-# function; the value is kept, so that every route choice stays as it was.
-_PERIOD_K0 = 32
 
 # Calibrated constant of the tau-identity error term c q^{1/4} x^{-1/2} log x.
 _TAU_C_CAL = 10.0
@@ -242,20 +233,13 @@ def _direct_chi_log_over_n(D: FundamentalDiscriminant, X: int) -> float:
     return -_chi_weighted_sum(D, _log_over_n(X))
 
 
-def _chi_over_n_partial(D: FundamentalDiscriminant, x: int) -> float:
-    """sum_{n<=x} chi(n)/n exactly as written (up to rounding), by the cheaper route.
-
-    By complete periods (_chi_over_n_by_periods, O(q)) once x >= _PERIOD_K0 q
-    or x > _DIRECT_LIMIT; otherwise literally, by _chi_weighted_sum (O(x)).
-    Both routes give the same truncated series and differ only in rounding.
-    """
-    if x >= _PERIOD_K0 * D.q or x > _DIRECT_LIMIT:
-        return _chi_over_n_by_periods(D, x)
-    return _chi_weighted_sum(D, _inv_n(x))
-
-
 # The Taylor route of _chi_over_n_by_periods needs K >= _TAYLOR_K periods:
-# there _hurwitz_zeta is accurate, and each tail term is at most a tenth of the last.
+# there _hurwitz_zeta is accurate, and each tail term is at most a tenth of
+# the last.  l_one takes it from x >= _TAYLOR_K q on.  Min of 5 runs at
+# x = K q + q/3, q from 1e3 to 1e6, 2 vCPUs: at K = 10 it beats the literal
+# sum with cold weights from q ~ 3e3 on and trails warm weights by at most
+# 0.6 ms (q = 3e5: 4.0 ms, 3.4 ms warm, 7.3 ms cold), and it builds no
+# length-x array.  Below K = 10 it sums the first K periods literally.
 _TAYLOR_K = 10
 
 # Residues per pass of _chi_over_n_by_periods.  Its five float64 buffers
@@ -400,12 +384,18 @@ def _check_truncation(x: float, q: int) -> None:
 def l_one(D: FundamentalDiscriminant, x: float) -> LValueEstimate:
     """Truncated L(1, chi) = sum_{n<=x} chi(n)/n with tail bound sqrt(q) log(q)/x.
 
-    The sum runs by complete periods in O(q) once x >= _PERIOD_K0 q, and
-    term by term below (_chi_over_n_partial); method is "direct" either way.
+    The sum runs by complete periods in O(q) (_chi_over_n_by_periods) once
+    x >= _TAYLOR_K q or x > _DIRECT_LIMIT, and term by term in O(x)
+    (_chi_weighted_sum) below.  Both give the same truncated series and
+    differ only in rounding; method is "direct" either way.
     """
     q = D.q
     _check_truncation(x, q)
-    value = _chi_over_n_partial(D, math.floor(x))
+    X = math.floor(x)
+    if X >= _TAYLOR_K * q or X > _DIRECT_LIMIT:
+        value = _chi_over_n_by_periods(D, X)
+    else:
+        value = _chi_weighted_sum(D, _inv_n(X))
     bound = math.sqrt(q) * math.log(q) / x
     return LValueEstimate(value=value, truncation=float(x), bound=bound, method="direct")
 

@@ -68,7 +68,7 @@ def scan_discriminants(d_lo: int, d_hi: int, x: float, jobs: int = 1) -> list[Sc
     """One ScanRow per fundamental discriminant in [d_lo, d_hi].
 
     L(1) is the series truncated at x, summed by complete periods once
-    x >= lseries._PERIOD_K0 q and term by term below (lseries.l_one); L'(1)
+    x >= lseries._TAYLOR_K q and term by term below (lseries.l_one); L'(1)
     comes from the tau rearrangement at x.  Rows are sorted ascending by
     score (= L1), ties by d, so output is independent of the worker count.
     """

@@ -864,9 +864,14 @@ def run_suite(
     two_var_cases: int = 200,
     swap_cases: int = 500,
 ) -> list[IdentityReport]:
-    """Run one named suite and return its reports."""
+    """Run one named suite and return its reports.
+
+    c_max, the ratio a measured check may reach, must be finite and > 0.
+    """
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if not (math.isfinite(c_max) and c_max > 0):
+        raise DomainError(f"c_max must be finite and > 0, got {c_max}")
     if two_var_cases < 0 or swap_cases < 0:
         raise DomainError("case counts must be >= 0")
     reports: list[IdentityReport] = []

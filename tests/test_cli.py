@@ -75,6 +75,14 @@ def test_verify_tiny_envelope_exits_one():
     assert "[FAIL]" in text
 
 
+@pytest.mark.parametrize("c_max", ["nan", "inf", "0", "-1"])
+def test_verify_bad_c_max_exits_two(c_max):
+    # nan failed half the measured checks and inf passed them all
+    code, text = run_main("verify", "--suite", "corollaries", "--c-max", c_max)
+    assert code == 2
+    assert text == ""
+
+
 def test_lvalues_direct_json():
     code, text = run_main("lvalues", "--d", "-4", "--x", "1e6")
     assert code == 0
@@ -344,6 +352,22 @@ def test_cli_import_leaves_scipy_and_multiprocessing_unloaded():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n", module
+
+
+def test_suite_collects_without_scipy():
+    # scipy is no test dependency: with it blocked, every test module imports
+    tests = pathlib.Path(__file__).resolve().parent
+    pkg_home = pathlib.Path(siegelscan.__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.modules['scipy'] = None; "
+        "import pytest; sys.exit(pytest.main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "--collect-only", "-q", "-p", "no:cacheprovider", str(tests)],
+        capture_output=True, text=True, cwd=tests.parent,
+        env={**os.environ, "PYTHONPATH": str(pkg_home)},
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr
 
 
 def test_scan_row_and_csv_are_defined_in_the_scan_module_only():

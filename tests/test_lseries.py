@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import digamma
 
 import siegelscan
 from siegelscan import (
@@ -50,7 +49,7 @@ from siegelscan import (
     theta_and_s,
     values_up_to,
 )
-from siegelscan import _digamma, characters, lseries, sieve, verify
+from siegelscan import characters, lseries, sieve, verify
 from siegelscan.primes import _ARRAYS, DEFAULT_MAX_WIDTH, factorize
 from siegelscan.scan import _coprime_zeta2_exact
 from siegelscan.verify import TAU_LOG_GRID, _smoothed
@@ -505,7 +504,7 @@ def literal_sums(D, x):
 
 def kernel_sums(D, x):
     # L(1) from the length-x kernel itself: l_one takes complete periods from
-    # x >= _PERIOD_K0 q on (test_l_one_route_switches_at_k0_periods)
+    # x >= _TAYLOR_K q on (test_l_one_route_switches_at_k0_periods)
     return (
         lseries._chi_weighted_sum(D, lseries._inv_n(x)),
         l_one_prime_direct(D, x).value,
@@ -613,8 +612,8 @@ def test_kernel_leaves_no_reference_cycle():
 
 def test_direct_sums_memoised_by_floor_of_x():
     D = FundamentalDiscriminant(-23)
-    x = 700.0  # below _PERIOD_K0 q, so l_one takes the literal route
-    assert x < lseries._PERIOD_K0 * D.q
+    x = 200.0  # below _TAYLOR_K q, so l_one takes the literal route
+    assert x < lseries._TAYLOR_K * D.q
     a = l_one(D, x)
     b = l_one(D, x + 0.5)
     assert a.value == b.value
@@ -831,16 +830,33 @@ def test_period_route_equals_reference_large_q():
 
 
 def test_l_one_takes_the_period_route_above_the_direct_limit():
-    # q large enough that x < K0 q: the direct limit alone picks the route.
-    # At q > x/10 fewer than 10 periods fit, and they are summed literally.
+    # Above the direct limit l_one goes by periods at any q.  For big,
+    # q > x/10: fewer than 10 periods fit, so the direct limit alone picks
+    # the route, and the periods are summed literally.
     x = lseries._DIRECT_LIMIT + 1
     big = list(enumerate_fundamentals(-2_000_100, -2_000_001))[-1]
+    assert x < lseries._TAYLOR_K * big.q
     for D in (FundamentalDiscriminant(-999983), big):
-        assert x < lseries._PERIOD_K0 * D.q
         value = l_one(D, x).value
         assert value == lseries._chi_over_n_by_periods(D, x)
         assert_period_route_within_rounding(D, x, value)
     assert x // big.q == 9
+
+
+def test_l_one_at_fourteen_periods_builds_no_inverse_array():
+    # x = 1e7 at q ~ 7e5 is 14 periods: l_one goes by periods, and 1/n up
+    # to 1e7 (76 MiB) is never built
+    D = list(enumerate_fundamentals(-700_100, -700_001))[-1]
+    x = 10**7
+    assert x // D.q == 14
+    _ARRAYS.clear()
+    try:
+        misses = _ARRAYS.misses["_inv_n"]
+        value = l_one(D, x).value
+        assert _ARRAYS.misses["_inv_n"] == misses
+        assert value == lseries._chi_over_n_by_periods(D, x)
+    finally:
+        _ARRAYS.clear()
 
 
 ROUTE_DS = [-3, -4, 5, 8, -8, -23, 293, -299, -1007, 4001]
@@ -848,12 +864,12 @@ ROUTE_DS = [-3, -4, 5, 8, -8, -23, 293, -299, -1007, 4001]
 
 @pytest.mark.parametrize("d", ROUTE_DS)
 def test_l_one_route_switches_at_k0_periods(d):
-    # complete periods from x = K0 q on, within the rounding bound of the
-    # 30-digit value; the literal sum of x terms, bit for bit, one below.
+    # complete periods from x = _TAYLOR_K q on, within the rounding bound of
+    # the 30-digit value; the literal sum of x terms, bit for bit, one below.
     # Each tail length R = x mod q is covered: 0, 1, q - 1.
     D = FundamentalDiscriminant(d)
     q = D.q
-    x0 = lseries._PERIOD_K0 * q
+    x0 = lseries._TAYLOR_K * q
     assert l_one(D, x0 - 1).value == literal_sums(D, x0 - 1)[0]
     for x in (x0, x0 + 1, x0 + q - 1, 10**6):
         value = l_one(D, x).value
@@ -958,47 +974,6 @@ def test_hurwitz_zeta_within_its_error_term(K):
         assert abs(got - want) <= 4 * math.ulp(float(want)) + left_out, (s, K)
 
 
-# ------------------------------- the recurrence half of the digamma port
-
-
-def units_over(q, step=1):
-    """t = r/q for the units r mod q, every step-th r, and r = 1, 2, q-2, q-1."""
-    r = np.union1d(np.arange(1, q, step), [1, 2, q - 2, q - 1])
-    return r[np.gcd(r, q) == 1] / q
-
-
-DIGAMMA_QS = [(3, 1), (4, 1), (8, 1), (24, 1), (293, 1), (1009, 1), (200003, 1)]
-DIGAMMA_QS += [(2**26 - 5, 997)]  # a prime near the period cap, subsampled
-
-
-@pytest.mark.parametrize("q, step", DIGAMMA_QS)
-def test_digamma_pair_recurrence_branch_equals_scipy(q, step):
-    # K <= 9 goes down to (1, 2] by x -= 1, y += 1/x: no log, every bit equal
-    t = units_over(q, step)
-    for K in range(1, 10):
-        assert np.array_equal(_digamma._digamma_pair(K, t), digamma(K + t) - digamma(t)), K
-
-
-def test_psi_on_one_two_equals_scipy():
-    # digamma_imp_1_2 on its own: near its zero 1.4616... the third part of
-    # the root decides the low bits, which the pair's larger values hide
-    root = _digamma._PSI_ROOT1 + _digamma._PSI_ROOT2
-    near = [root]
-    for _ in range(64):
-        near = [np.nextafter(near[0], 0.0)] + near + [np.nextafter(near[-1], 2.0)]
-    x = np.concatenate([1.0 + units_over(200003), np.linspace(1.0, 2.0, 4097), near])
-    buf = np.empty((3, x.size))
-    assert np.array_equal(_digamma._psi_1_2(x, *buf), digamma(x))
-
-
-def test_digamma_pair_chunks_do_not_change_values(monkeypatch):
-    t = units_over(200003)
-    whole = _digamma._digamma_pair(9, t)
-    for chunk in (1, 7, 4096):
-        monkeypatch.setattr(_digamma, "_PSI_CHUNK", chunk)
-        assert np.array_equal(_digamma._digamma_pair(9, t[:5000]), whole[:5000]), chunk
-
-
 def test_weight_cache_builds_each_array_once_within_budget():
     # d-major over x = 1e4, 1e5, 1e6 with L(1) and L'(1) at 1e7, as
     # TAU_LOG_GRID runs; per-kind two-entry LRUs built 1/n 20 times here
@@ -1016,7 +991,7 @@ def test_weight_cache_builds_each_array_once_within_budget():
             l_one_prime_direct(D, 10**7)
             assert cache.nbytes <= cache.budget
         xs = sorted({math.floor(x) for _, x in TAU_LOG_GRID})
-        # L(1) at 1e7 >= _PERIOD_K0 q goes by complete periods, so 1/n at 1e7
+        # L(1) at 1e7 >= _TAYLOR_K q goes by complete periods, so 1/n at 1e7
         # (76 MiB) is not among the builds, which the miss count confirms
         built = {("_inv_n", x) for x in xs}
         built |= {("_tau_weights", x) for x in xs} | {("_log_over_n", 10**7)}
