@@ -15,20 +15,18 @@ L(1, chi) truncated at x^2 so its own error stays below that envelope.
 Every bound covers the truncation only, not floating-point rounding (see
 LValueEstimate).
 
-sum_{n<=x} chi(n)/n takes the cheaper of two routes, which compute the
-same truncated series and differ only in rounding (l_one).  Once
-x >= _TAYLOR_K q, and always above _DIRECT_LIMIT, it is grouped into
-complete periods, O(q) work whatever x (_chi_over_n_by_periods): L(1, chi)
-in closed form, minus the periods past K q (x = K q + R) as a short Taylor
-series in r/q with Hurwitz zeta coefficients, plus the literal block of the
-last R terms.  Below that, the literal sum of x terms is cheaper.  The
-period route gives the L(1) at x^2 inside the rearranged route, and the
-scan's L(1) at x whenever x >= _TAYLOR_K q.  It runs in chunks through
-reused buffers, with numpy as the one runtime dependency, and states its
-own rounding bound.
+sum_{n<=x} chi(n)/n is grouped into complete periods at every x >= q,
+O(q) work whatever x (_chi_over_n_by_periods).  From x >= _TAYLOR_K q on it
+is L(1, chi) in closed form, minus the periods past K q (x = K q + R) as a
+short Taylor series in r/q with Hurwitz zeta coefficients, plus the literal
+block of the last R terms; below, the K periods and the R terms are summed
+literally, one residue block at a time.  This gives the L(1) at x^2 inside
+the rearranged route and the scan's L(1) at x.  It runs in chunks through
+reused buffers, with numpy as the one runtime dependency, builds no
+length-x array, and states its own rounding bound.
 
-All three length-x sums have the form sum_{n<=x} chi(n) w(n) with weights
-(1/n, log(n)/n, H(floor(x/n))/n) that do not depend on d.  The weights are
+The two other sums have the form sum_{n<=x} chi(n) w(n) with weights
+(log(n)/n, H(floor(x/n))/n) that do not depend on d.  The weights are
 cached per x in the process-wide cache bounded in bytes (primes._ARRAYS,
 least recently used out first), next to the chi periods.  One kernel,
 _chi_weighted_sum, sums the products leaf by leaf along the pairwise tree
@@ -79,7 +77,7 @@ import numpy as np
 
 from .characters import FundamentalDiscriminant, chi_period, chi_values_up_to
 from .errors import CapacityError, ContractError, DomainError
-from .primes import _ARRAYS, DEFAULT_MAX_WIDTH, _bucket, primes_upto
+from .primes import _ARRAYS, DEFAULT_MAX_WIDTH, primes_upto
 
 __all__ = [
     "EULER_GAMMA",
@@ -105,8 +103,8 @@ __all__ = [
 
 EULER_GAMMA = 0.57721566490153286
 
-# Above this truncation the character sum is evaluated by complete periods
-# instead of literal term-by-term summation.
+# The largest truncation of l_one_prime_direct, whose literal sum of x terms
+# reads log(n)/n as one length-x array (160 MB at this limit).
 _DIRECT_LIMIT = 2 * 10**7
 
 # Calibrated constant of the tau-identity error term c q^{1/4} x^{-1/2} log x.
@@ -120,10 +118,10 @@ class LValueEstimate:
     bound covers the truncation error only.  It does not cover the
     floating-point rounding of the sum, which dominates once the bound is
     below about 1e-15: lvalues --d -4 --x 1e30 prints bound 2.8e-30 for a
-    value 9e-16 away from pi/4.  The period route of l_one adds at most
-    4 eps (log q + 4) of rounding for odd chi and 4 eps (8 sqrt(q) + log q
-    + 4) for even chi, eps = 2^-52 (_chi_over_n_by_periods); the literal
-    route states no such term.  The tau-identity bound rests on a
+    value 9e-16 away from pi/4.  l_one adds at most 17 eps (log x + 2) of
+    rounding below _TAYLOR_K q, and from there on 4 eps (log q + 4) for odd
+    chi and 4 eps (8 sqrt(q) + log q + 4) for even chi, eps = 2^-52
+    (_chi_over_n_by_periods).  The tau-identity bound rests on a
     calibrated constant, not a proof.
     """
 
@@ -131,12 +129,6 @@ class LValueEstimate:
     truncation: float
     bound: float
     method: str  # "direct" | "tau-identity" | "class-number"
-
-
-@_ARRAYS
-def _inv_n(x: int) -> np.ndarray:
-    a = np.arange(1, x + 1, dtype=np.float64)
-    return np.divide(1.0, a, out=a)
 
 
 # Entries per pass of _log_over_n: its log buffer (512 KiB) stays in L2.
@@ -168,13 +160,15 @@ def _tau_weights(x: int) -> np.ndarray:
     The D-independent weights of tau_over_n_sum, cached per x as one array.
     Each entry is the product (1/n) * H(floor(x/n)) rounded once, so
     chi(n) * w[n-1] equals (chi(n)/n) * H(floor(x/n)) exactly: chi(n) is
-    -1, 0 or 1.  1/n is the cached _inv_n(x), not a second copy.
+    -1, 0 or 1.  1/n is built in place here and dropped with the build.
     """
+    inv = np.arange(1, x + 1, dtype=np.float64)
+    np.divide(1.0, inv, out=inv)
     h = np.zeros(x + 1, dtype=np.float64)
-    np.cumsum(_inv_n(x), out=h[1:])
+    np.cumsum(inv, out=h[1:])
     floors = x // np.arange(1, x + 1, dtype=np.int64)
     w = h[floors]
-    return np.multiply(_inv_n(x), w, out=w)
+    return np.multiply(inv, w, out=w)
 
 
 # The largest leaf of _chi_weighted_sum.  It must be at least 128, the block
@@ -235,11 +229,7 @@ def _direct_chi_log_over_n(D: FundamentalDiscriminant, X: int) -> float:
 
 # The Taylor route of _chi_over_n_by_periods needs K >= _TAYLOR_K periods:
 # there _hurwitz_zeta is accurate, and each tail term is at most a tenth of
-# the last.  l_one takes it from x >= _TAYLOR_K q on.  Min of 5 runs at
-# x = K q + q/3, q from 1e3 to 1e6, 2 vCPUs: at K = 10 it beats the literal
-# sum with cold weights from q ~ 3e3 on and trails warm weights by at most
-# 0.6 ms (q = 3e5: 4.0 ms, 3.4 ms warm, 7.3 ms cold), and it builds no
-# length-x array.  Below K = 10 it sums the first K periods literally.
+# the last.  Below K = 10 it sums the first K periods literally.
 _TAYLOR_K = 10
 
 # Residues per pass of _chi_over_n_by_periods.  Its five float64 buffers
@@ -384,18 +374,12 @@ def _check_truncation(x: float, q: int) -> None:
 def l_one(D: FundamentalDiscriminant, x: float) -> LValueEstimate:
     """Truncated L(1, chi) = sum_{n<=x} chi(n)/n with tail bound sqrt(q) log(q)/x.
 
-    The sum runs by complete periods in O(q) (_chi_over_n_by_periods) once
-    x >= _TAYLOR_K q or x > _DIRECT_LIMIT, and term by term in O(x)
-    (_chi_weighted_sum) below.  Both give the same truncated series and
-    differ only in rounding; method is "direct" either way.
+    The sum runs by complete periods in O(q) work and memory at every x
+    (_chi_over_n_by_periods), within its stated rounding bound.
     """
     q = D.q
     _check_truncation(x, q)
-    X = math.floor(x)
-    if X >= _TAYLOR_K * q or X > _DIRECT_LIMIT:
-        value = _chi_over_n_by_periods(D, X)
-    else:
-        value = _chi_weighted_sum(D, _inv_n(X))
+    value = _chi_over_n_by_periods(D, math.floor(x))
     bound = math.sqrt(q) * math.log(q) / x
     return LValueEstimate(value=value, truncation=float(x), bound=bound, method="direct")
 
@@ -493,13 +477,13 @@ def _form_count(d: int) -> int:
     return h
 
 
-@_ARRAYS
+@_ARRAYS.prefix
 def _prime_logs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(primes p <= n, log1p(-1/p), log1p(1/p)) as int64 and float64 arrays.
 
-    The per-prime table of the Euler products; it does not depend on d.  The
-    callers key it by _bucket(q), the least power of two >= q, so that
-    nearby q share one entry, and slice the prefix p <= q.  The logs come
+    The per-prime table of the Euler products; it does not depend on d.
+    One table is held, built to a power of two, and a call for q returns it
+    whenever it reaches q: the callers slice the prefix p <= q.  The logs come
     from math.log1p, as in a loop over the primes: np.log1p differs from
     it in the last bit for 17 of the 1229 primes below 1e4.
     """
@@ -518,7 +502,7 @@ def _chi_at_primes(D: FundamentalDiscriminant) -> tuple[np.ndarray, np.ndarray, 
     """
     per = chi_period(D)
     q = D.q
-    ps, lm, lp = _prime_logs(_bucket(q))
+    ps, lm, lp = _prime_logs(q)
     k = int(np.searchsorted(ps, q, side="right"))
     return per[ps[:k] % q], lm[:k], lp[:k]
 

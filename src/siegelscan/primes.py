@@ -11,7 +11,7 @@ DEFAULT_MAX_WIDTH caps arrays sized by an argument (sieve tables, chi
 periods, tau weights), RANGE_LIMIT the integers sieved or factorized, and
 _ARRAYS, the one process-wide cache of keyed arrays, the bytes held by the
 chi periods, prime logs, weights, sieve columns and rho base of the modules
-that build them; tables read by prefix are keyed by _bucket of their length.
+that build them; a table read by prefix is held once (_ArrayCache.prefix).
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ class _ArrayCache:
         self.nbytes = 0
         self.misses: Counter[str] = Counter()
         self._held: OrderedDict[tuple, np.ndarray | tuple[np.ndarray, ...]] = OrderedDict()
+        self._tops: dict[str, int] = {}  # the n of each prefix builder's last table
 
     def __call__(self, build: Callable) -> Callable:
         """Decorate build(*args) so that its results are held here."""
@@ -108,6 +109,26 @@ class _ArrayCache:
 
         return cached
 
+    def prefix(self, build: Callable) -> Callable:
+        """Decorate build(n), whose result for n is a prefix of that for any larger n.
+
+        One table per builder is held.  A call for n returns it if it reaches
+        n, and otherwise evicts it and holds build(m) in its place, m the
+        least power of two >= n, so that a growing n rebuilds it O(log n) times.
+        """
+        cached = self(build)
+        name = build.__name__
+
+        @wraps(build)
+        def served(n: int):
+            top = self._tops.get(name, 0)
+            if top < n or (name, top) not in self._held:
+                self.evict(build, top)
+                top = self._tops[name] = 1 << (n - 1).bit_length()
+            return cached(top)
+
+        return served
+
     def evict(self, build: Callable, *args) -> None:
         """Drop what the decorated build holds for args, if anything."""
         value = self._held.pop((build.__name__, *args), None)
@@ -116,6 +137,7 @@ class _ArrayCache:
 
     def clear(self) -> None:
         self._held.clear()
+        self._tops.clear()
         self.nbytes = 0
 
 
@@ -123,12 +145,7 @@ def _nbytes(value: np.ndarray | tuple[np.ndarray, ...]) -> int:
     return sum(a.nbytes for a in (value if isinstance(value, tuple) else (value,)))
 
 
-def _bucket(n: int) -> int:
-    """The least power of two >= n, for n >= 1: the key of a table read by prefix."""
-    return 1 << (n - 1).bit_length()
-
-
 # Three float64 arrays at lseries' direct limit of 2e7 terms (480 MB).  The
-# sieve and rho buckets of 1e7 (2^24) take 160 and 128 MiB; at 2^26 they take
+# sieve and rho tables of 1e7 (2^24) take 160 and 128 MiB; at 2^26 they take
 # 640 and 512 MiB, over the budget, so they are returned but not held.
 _ARRAYS = _ArrayCache(3 * 8 * 2 * 10**7)

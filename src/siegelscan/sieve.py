@@ -5,7 +5,7 @@ multiplicity, 8-bit), the Liouville sign lambda(n) = (-1)^Omega(n), and the
 prime-power base: p when n = p^k, 0 otherwise.  Every array is indexed by n,
 and entry 0 is 0.  The von Mangoldt value Lambda(n) = log(base) is never
 stored: prime_powers_upto is the one reader of the base column.  shared_sieve
-hands out prefixes of one table per power-of-two length held in primes._ARRAYS.
+hands out prefixes of the one table held in primes._ARRAYS.
 
 On top of the sieve sit the divisor functionals used by the analytic checks:
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .characters import FundamentalDiscriminant, chi_period, chi_values_up_to
 from .errors import CapacityError, DomainError
-from .primes import _ARRAYS, DEFAULT_MAX_WIDTH, RANGE_LIMIT, _bucket, factorize, primes_upto
+from .primes import _ARRAYS, DEFAULT_MAX_WIDTH, RANGE_LIMIT, factorize, primes_upto
 
 __all__ = [
     "SieveTable",
@@ -102,7 +102,7 @@ def _check_length(hi: int) -> None:
         raise CapacityError(f"sieve length {hi} exceeds budget {DEFAULT_MAX_WIDTH}")
 
 
-@_ARRAYS
+@_ARRAYS.prefix
 def _sieve_columns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(omega, lambda_sign, pp_base) of build_sieve(n), held in primes._ARRAYS."""
     t = build_sieve(n)
@@ -110,15 +110,15 @@ def _sieve_columns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def shared_sieve(hi: int) -> SieveTable:
-    """A table over [1, hi]: prefix views of the held sieve of _bucket(hi).
+    """A table over [1, hi]: prefix views of the one held sieve, which reaches hi.
 
     hi is checked before anything is built.  The views are read-only: a
     write raises ValueError instead of changing every later result.  The
-    bucket takes 10 bytes per entry; at 2^26 (640 MiB) it is not held.
+    sieve takes 10 bytes per entry; at 2^26 (640 MiB) it is not held.
     """
     _check_length(hi)
     n = hi + 1
-    omega, lam, ppb = _sieve_columns(_bucket(hi))
+    omega, lam, ppb = _sieve_columns(hi)
     return SieveTable(hi, omega[:n], lam[:n], ppb[:n])
 
 

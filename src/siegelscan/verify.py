@@ -28,6 +28,7 @@ import numpy as np
 
 from .characters import (
     FundamentalDiscriminant,
+    chi_period,
     chi_values_up_to,
     enumerate_fundamentals,
 )
@@ -48,7 +49,7 @@ from .lseries import (
     theta_and_s,
     values_up_to,
 )
-from .primes import _ARRAYS, _bucket, primes_upto
+from .primes import _ARRAYS, primes_upto
 from .scan import scan_discriminants
 from .sieve import (
     divisor_accumulate,
@@ -356,7 +357,7 @@ def verify_rho_swap_and_skeleton(
 
     rho_u comes from _rho_table, that is from lambda(d) over the divisors
     d > u by divisor accumulation, never through the square identity.  Its
-    held base takes 8 bytes per entry of _bucket(T): 8 MiB at the cap T = 1e6.
+    held base takes 8 bytes per entry: 8 MiB at the cap T = 1e6.
     """
     if u < 1:
         raise DomainError("need u >= 1")
@@ -439,12 +440,12 @@ def _lambda_chi_cumsum(D: FundamentalDiscriminant, X: int) -> np.ndarray:
     """P[j] = sum_{n<=j} Lambda(n) chi(n) as a float64 prefix array."""
     ns, vm = prime_powers_upto(X)
     acc = np.zeros(X + 1, dtype=np.float64)
-    acc[ns] = vm * chi_values_up_to(D, X)[ns].astype(np.float64)
+    acc[ns] = vm * chi_period(D)[ns % D.q].astype(np.float64)
     np.cumsum(acc, out=acc)
     return acc
 
 
-@_ARRAYS
+@_ARRAYS.prefix
 def _rho_base(n: int) -> np.ndarray:
     """sum_{d | m} lambda(d) for every m <= n, as int64, by divisor accumulation."""
     return divisor_accumulate(shared_sieve(n).lambda_sign, 1, n)
@@ -453,17 +454,17 @@ def _rho_base(n: int) -> np.ndarray:
 def _rho_table(X: int, u: float) -> np.ndarray:
     """rho_u(m) for all m <= X (d > u strict), as a new int64 array.
 
-    A copy of the first X + 1 entries of _rho_base(_bucket(X)), held in
+    A copy of the first X + 1 entries of the one base held in
     primes._ARRAYS, from which divisor_accumulate_into takes lambda(d) off
     the multiples of each d <= u: rho_u is summed from lambda(d) over the
     divisors d > u, never through the square identity, which the checks
-    test.  The base takes 8 bytes per entry of the bucket: 8 MiB at X = 1e6,
-    128 MiB at x/u = 1e7; at 2^26 (512 MiB) it is not held.
+    test.  The kernel reads lambda(d) only for d <= min(u, X).  The base
+    takes 8 bytes per entry: 8 MiB at X = 1e6, 128 MiB at x/u = 1e7; at
+    2^26 (512 MiB) it is not held.
     """
-    n = _bucket(X)
     cut = math.floor(u) + 1
-    acc = _rho_base(n)[: X + 1].copy()
-    divisor_accumulate_into(acc, -shared_sieve(n).lambda_sign[:cut], 1, cut)
+    acc = _rho_base(X)[: X + 1].copy()
+    divisor_accumulate_into(acc, -shared_sieve(X).lambda_sign[:cut], 1, cut)
     return acc
 
 
@@ -689,9 +690,8 @@ def verify_lambda_chi_mean(
     X = math.floor(x)
     if X > 10**7:
         raise DomainError("lambda-chi mean capped at x <= 1e7")
-    lam = liouville_table(X).astype(np.int64)
-    ch = chi_values_up_to(D, X).astype(np.int64)
-    lhs = float(np.sum(lam * ch))
+    # int8 products, summed in int64: no widened copy of either table
+    lhs = float(np.sum(liouville_table(X) * chi_values_up_to(D, X), dtype=np.int64))
 
     pq = euler_p_ratio(D)
     rhs = pq * x

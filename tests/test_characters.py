@@ -245,7 +245,7 @@ def test_array_cache_holds_within_budget(monkeypatch):
         scan_discriminants(-300, 300, 1e4)
         # each row drops its chi period (test_scan_drops_each_chi_period)
         assert "_prime_logs" in check_held() and "_period" not in check_held()
-        # 184 periods and the 1/n and tau weights at 1e4 (80 kB each) were built
+        # 184 periods and the tau weights at 1e4 (80 kB) were built
         assert len(_ARRAYS._held) < sum(_ARRAYS.misses.values())
         # the suite reads the periods of -3, -4 and -8 next to the scan's arrays
         assert all(r.passed for r in run_suite("corollaries"))
@@ -416,3 +416,30 @@ def test_chi_period_equals_per_prime_builder():
         table = chi_period(FundamentalDiscriminant(d))
         assert table.dtype == np.int8, d
         assert np.array_equal(table, per_prime_period(d)), d
+
+
+def test_array_cache_prefix_holds_one_table(monkeypatch):
+    from siegelscan.primes import _ARRAYS
+
+    built = []
+
+    @_ARRAYS.prefix
+    def _squares(n):
+        built.append(n)
+        return np.arange(n + 1, dtype=np.int64) ** 2
+
+    _ARRAYS.clear()
+    try:
+        # built to the least power of two >= n, and read by every n it reaches
+        assert _squares(300).size == 513 and built == [512]
+        assert _squares(5) is _squares(512) and built == [512]
+        # a longer n replaces the held table
+        assert np.array_equal(_squares(513), np.arange(1025) ** 2) and built == [512, 1024]
+        assert [k for k in _ARRAYS._held if k[0] == "_squares"] == [("_squares", 1024)]
+        # once the budget has pushed the table out, a call builds for its own n
+        monkeypatch.setattr(_ARRAYS, "budget", _ARRAYS.nbytes)
+        chi_period(FundamentalDiscriminant(-4))
+        assert ("_squares", 1024) not in _ARRAYS._held
+        assert _squares(3).size == 5 and built == [512, 1024, 4]
+    finally:
+        _ARRAYS.clear()

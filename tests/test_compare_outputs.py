@@ -128,3 +128,19 @@ def test_every_output_of_a_call_is_collected():
     assert out["lvalues: stdout"].startswith('{"d": -4, "q": 4, "method": "direct"')
     assert out["identities: exit code"] == "0\n"
     assert out["identities: --out"].startswith("[\n")
+
+
+def test_named_calls_include_the_one_row_large_q_scans():
+    # the scan-large-q workload's calls: x = 2.5e5 is one period of q near
+    # 2e5, a route no other compared scan reaches
+    co = load_compare_outputs()
+    run = co.load_perfbench_run(str(COMPARE_OUTPUTS.parents[1]))
+    calls = co.named_calls(run)
+    argvs = [argv for _, argv, _ in calls]
+    scans = run.make_workload("scan-large-q", 1, False).calls()
+    assert len(scans) == 20
+    for argv in scans:
+        assert argv in argvs
+        assert argv[2] == argv[4] and argv[6] == "2.5e5"
+    names = [name for name, _, _ in calls]
+    assert len(set(names)) == len(names)

@@ -502,11 +502,16 @@ def literal_sums(D, x):
     )
 
 
+def inv_n(x):
+    """1/n for n <= x as float64, each entry rounded once."""
+    return 1.0 / np.arange(1, x + 1)
+
+
 def kernel_sums(D, x):
-    # L(1) from the length-x kernel itself: l_one takes complete periods from
-    # x >= _TAYLOR_K q on (test_l_one_route_switches_at_k0_periods)
+    # L(1) from the length-x kernel itself over a local 1/n: l_one takes
+    # complete periods at every x
     return (
-        lseries._chi_weighted_sum(D, lseries._inv_n(x)),
+        lseries._chi_weighted_sum(D, inv_n(x)),
         l_one_prime_direct(D, x).value,
         tau_over_n_sum(D, x),
     )
@@ -566,7 +571,7 @@ def test_kernel_equals_np_sum_at_large_x():
     Ds = [FundamentalDiscriminant(d) for d in (-3, -4, 5, 8, -200003)] + [near_1e6]
     try:
         for x in (10**6, 10**7):
-            weights = [lseries._inv_n(x), lseries._log_over_n(x)]
+            weights = [inv_n(x), lseries._log_over_n(x)]
             if x == 10**6:
                 weights.append(lseries._tau_weights(x))
             for D in Ds:
@@ -612,7 +617,7 @@ def test_kernel_leaves_no_reference_cycle():
 
 def test_direct_sums_memoised_by_floor_of_x():
     D = FundamentalDiscriminant(-23)
-    x = 200.0  # below _TAYLOR_K q, so l_one takes the literal route
+    x = 200.0  # below _TAYLOR_K q: the periods are summed literally
     assert x < lseries._TAYLOR_K * D.q
     a = l_one(D, x)
     b = l_one(D, x + 0.5)
@@ -830,9 +835,8 @@ def test_period_route_equals_reference_large_q():
 
 
 def test_l_one_takes_the_period_route_above_the_direct_limit():
-    # Above the direct limit l_one goes by periods at any q.  For big,
-    # q > x/10: fewer than 10 periods fit, so the direct limit alone picks
-    # the route, and the periods are summed literally.
+    # l_one goes by periods at any q.  For big, q > x/10: fewer than 10
+    # periods fit, and they are summed literally.
     x = lseries._DIRECT_LIMIT + 1
     big = list(enumerate_fundamentals(-2_000_100, -2_000_001))[-1]
     assert x < lseries._TAYLOR_K * big.q
@@ -843,20 +847,24 @@ def test_l_one_takes_the_period_route_above_the_direct_limit():
     assert x // big.q == 9
 
 
-def test_l_one_at_fourteen_periods_builds_no_inverse_array():
-    # x = 1e7 at q ~ 7e5 is 14 periods: l_one goes by periods, and 1/n up
-    # to 1e7 (76 MiB) is never built
-    D = list(enumerate_fundamentals(-700_100, -700_001))[-1]
-    x = 10**7
-    assert x // D.q == 14
-    _ARRAYS.clear()
-    try:
-        misses = _ARRAYS.misses["_inv_n"]
-        value = l_one(D, x).value
-        assert _ARRAYS.misses["_inv_n"] == misses
-        assert value == lseries._chi_over_n_by_periods(D, x)
-    finally:
+def test_l_one_builds_no_length_x_array():
+    # x = K q + q/3 with one, nine (literal periods) and fourteen (Taylor
+    # tail) periods: l_one holds its O(q) chunk buffers (640 KiB), never a
+    # length-x array such as 1/n (2.0, 7.1 and 77 MiB here)
+    for K, near in ((1, -200_000), (9, 100_000), (14, -700_000)):
+        D = list(enumerate_fundamentals(near - 100, near - 1))[-1]
+        x = K * D.q + D.q // 3
         _ARRAYS.clear()
+        chi_period(D)
+        tracemalloc.start()
+        try:
+            value = l_one(D, x).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _ARRAYS.clear()
+        assert peak < 2**20, (K, peak)
+        assert value == lseries._chi_over_n_by_periods(D, x)
 
 
 ROUTE_DS = [-3, -4, 5, 8, -8, -23, 293, -299, -1007, 4001]
@@ -864,14 +872,13 @@ ROUTE_DS = [-3, -4, 5, 8, -8, -23, 293, -299, -1007, 4001]
 
 @pytest.mark.parametrize("d", ROUTE_DS)
 def test_l_one_route_switches_at_k0_periods(d):
-    # complete periods from x = _TAYLOR_K q on, within the rounding bound of
-    # the 30-digit value; the literal sum of x terms, bit for bit, one below.
-    # Each tail length R = x mod q is covered: 0, 1, q - 1.
+    # complete periods on both sides of x = _TAYLOR_K q (literal periods one
+    # below, the Taylor tail from there on), within the rounding bound of the
+    # 30-digit value.  Each tail length R = x mod q is covered: 0, 1, q - 1.
     D = FundamentalDiscriminant(d)
     q = D.q
     x0 = lseries._TAYLOR_K * q
-    assert l_one(D, x0 - 1).value == literal_sums(D, x0 - 1)[0]
-    for x in (x0, x0 + 1, x0 + q - 1, 10**6):
+    for x in (x0 - 1, x0, x0 + 1, x0 + q - 1, 10**6):
         value = l_one(D, x).value
         assert value == lseries._chi_over_n_by_periods(D, x), x
         assert_period_route_within_rounding(D, x, value)
@@ -991,10 +998,9 @@ def test_weight_cache_builds_each_array_once_within_budget():
             l_one_prime_direct(D, 10**7)
             assert cache.nbytes <= cache.budget
         xs = sorted({math.floor(x) for _, x in TAU_LOG_GRID})
-        # L(1) at 1e7 >= _TAYLOR_K q goes by complete periods, so 1/n at 1e7
-        # (76 MiB) is not among the builds, which the miss count confirms
-        built = {("_inv_n", x) for x in xs}
-        built |= {("_tau_weights", x) for x in xs} | {("_log_over_n", 10**7)}
+        # L(1) goes by complete periods and the tau weights build 1/n in
+        # place, so no 1/n array is among the builds, as the miss count confirms
+        built = {("_tau_weights", x) for x in xs} | {("_log_over_n", 10**7)}
         built |= {("_period", d) for d, _ in TAU_LOG_GRID}
         assert len({d for d, _ in TAU_LOG_GRID}) == 5
         assert set(cache._held) == built
@@ -1011,31 +1017,31 @@ def test_weight_cache_evicts_by_bytes_and_skips_oversized(monkeypatch):
     try:
         misses = cache.misses.copy()
         # larger than the whole budget: returned, not held, so built again
-        w = lseries._inv_n(1001)
-        assert np.array_equal(w, 1.0 / np.arange(1, 1002, dtype=np.float64))
+        w = lseries._log_over_n(1001)
+        ns = np.arange(1, 1002, dtype=np.float64)
+        assert np.array_equal(w, np.log(ns) / ns)
         assert cache.nbytes == 0 and not cache._held
-        lseries._inv_n(1001)
-        assert cache.misses - misses == Counter({"_inv_n": 2})
+        lseries._log_over_n(1001)
+        assert cache.misses - misses == Counter({"_log_over_n": 2})
         # exactly the budget is held; the next array pushes out the oldest
-        lseries._inv_n(600)
-        lseries._log_over_n(400)
-        assert list(cache._held) == [("_inv_n", 600), ("_log_over_n", 400)]
-        lseries._inv_n(600)  # a hit moves it to the back
-        lseries._inv_n(300)
-        assert list(cache._held) == [("_inv_n", 600), ("_inv_n", 300)]
+        lseries._log_over_n(600)
+        lseries._tau_weights(400)
+        assert list(cache._held) == [("_log_over_n", 600), ("_tau_weights", 400)]
+        lseries._log_over_n(600)  # a hit moves it to the back
+        lseries._log_over_n(300)
+        assert list(cache._held) == [("_log_over_n", 600), ("_log_over_n", 300)]
         assert cache.nbytes == 8 * 900 <= cache.budget
-        assert cache.misses - misses == Counter({"_inv_n": 4, "_log_over_n": 1})
+        assert cache.misses - misses == Counter({"_log_over_n": 4, "_tau_weights": 1})
     finally:
         cache.clear()
 
 
 def test_one_array_cache_serves_every_builder():
-    # chi periods, prime logs, the three weight kinds, the sieve columns and
+    # chi periods, prime logs, the two weight kinds, the sieve columns and
     # the rho base share one instance
     builders = [
         characters._period,
         lseries._prime_logs,
-        lseries._inv_n,
         lseries._log_over_n,
         lseries._tau_weights,
         sieve._sieve_columns,
@@ -1046,6 +1052,7 @@ def test_one_array_cache_serves_every_builder():
     caches = [o for o in gc.get_objects() if isinstance(o, type(_ARRAYS))]
     assert caches == [_ARRAYS]
     assert not hasattr(lseries, "_WeightCache") and not hasattr(lseries, "_WEIGHTS")
+    assert not hasattr(lseries, "_inv_n")
     assert not hasattr(characters._period, "cache_info")
     assert not hasattr(lseries._prime_logs, "cache_info")
     assert not hasattr(sieve, "_shared") and not hasattr(verify, "_rho_held")
@@ -1071,15 +1078,11 @@ def test_no_module_holds_arrays_outside_the_cache():
 def test_weight_arrays_are_read_only():
     x = 1000
     ns = np.arange(1, x + 1, dtype=np.float64)
-    for build, ref in (
-        (lseries._inv_n, 1.0 / ns),
-        (lseries._log_over_n, np.log(ns) / ns),
-    ):
-        with pytest.raises(ValueError):
-            build(x)[0] = 7.0
-        with pytest.raises(ValueError):
-            build(x)[:] *= 2.0
-        assert np.array_equal(build(x), ref), build.__name__
+    with pytest.raises(ValueError):
+        lseries._log_over_n(x)[0] = 7.0
+    with pytest.raises(ValueError):
+        lseries._log_over_n(x)[:] *= 2.0
+    assert np.array_equal(lseries._log_over_n(x), np.log(ns) / ns)
     w = lseries._tau_weights(x).copy()
     with pytest.raises(ValueError):
         lseries._tau_weights(x)[-1] = 0.0
@@ -1103,6 +1106,5 @@ def test_weight_arrays_equal_plain_expressions(x):
     h = np.zeros(x + 1, dtype=np.float64)
     np.cumsum(inv, out=h[1:])
     floors = x // np.arange(1, x + 1, dtype=np.int64)
-    assert np.array_equal(lseries._inv_n(x), inv)
     assert np.array_equal(lseries._log_over_n(x), np.log(ns) / ns)
     assert np.array_equal(lseries._tau_weights(x), inv * h[floors])

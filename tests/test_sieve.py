@@ -126,13 +126,15 @@ def test_shared_prefixes_and_prime_power_reader():
     shared_sieve(2000)
     assert_like_ref(shared_sieve(300))
     shared_sieve(5000)
-    buckets = {key[1] for key in _ARRAYS._held if key[0] == "_sieve_columns"}
-    assert buckets == {512, 2048, 8192}
+    # one held table: 300 reads the table of 2000, and 5000 replaces it
+    held = {key[1] for key in _ARRAYS._held if key[0] == "_sieve_columns"}
+    assert held == {8192}
+    assert _ARRAYS.misses["_sieve_columns"] - misses == 2
     assert_like_ref(shared_sieve(300))
-    # one build per power-of-two bucket: 257..512 read views of one table
+    # every smaller hi reads views of that one table, with no build
     t = shared_sieve(257)
-    assert np.shares_memory(t.omega, _ARRAYS._held[("_sieve_columns", 512)][0])
-    assert _ARRAYS.misses["_sieve_columns"] - misses == 3
+    assert np.shares_memory(t.omega, _ARRAYS._held[("_sieve_columns", 8192)][0])
+    assert _ARRAYS.misses["_sieve_columns"] - misses == 2
     assert np.array_equal(shared_sieve(5000).pp_base, build_sieve(5000).pp_base)
 
     # liouville_table hands out a copy, never a view of the shared table

@@ -152,8 +152,10 @@ def test_rho_table_matches_pointwise():
 
 def test_rho_table_walk_equals_kernel():
     _ARRAYS.clear()
-    # cutoffs up, down, a repeat, lo > X, cuts across isqrt of the bucket,
-    # and X growing past a bucket twice (300 -> 1000 -> 1500 reads 512, 1024, 2048)
+    misses = _ARRAYS.misses["_rho_base"]
+    # cutoffs up, down, a repeat, lo > X, cuts across isqrt of the held base,
+    # and X growing past a power of two twice (300 -> 1000 -> 1500 builds
+    # 512, 1024, 2048); every smaller X reads the base held at the time
     requests = [
         (300, 2.5), (300, 9.0), (200, 4.5), (200, 4.5), (250, 400.0),
         (300, 1.0), (1000, 7.5), (1000, 40.5), (600, 3.5), (50, 60.0),
@@ -170,7 +172,26 @@ def test_rho_table_walk_equals_kernel():
     for (X, u), (got, want) in zip(requests, held):
         assert np.array_equal(got, want), (X, u)
     bases = {key[1] for key in _ARRAYS._held if key[0] == "_rho_base"}
-    assert bases == {16, 64, 256, 512, 1024, 2048}
+    assert bases == {2048}
+    assert _ARRAYS.misses["_rho_base"] - misses == 3
+
+
+def test_suite_all_holds_one_table_per_prefix_builder():
+    # a larger request replaces the held table instead of adding one: the
+    # sieve grows through 6 powers of two and the rho base through 5, where
+    # a table per power of two built them 16 and 13 times
+    prefix_builders = ("_sieve_columns", "_rho_base", "_prime_logs")
+    _ARRAYS.clear()
+    misses = _ARRAYS.misses.copy()
+    try:
+        reports = verify.run_suite("all", two_var_cases=50, swap_cases=100)
+        assert all(r.passed for r in reports)
+        built = _ARRAYS.misses - misses
+        assert built["_sieve_columns"] <= 6 and built["_rho_base"] <= 5, built
+        for name in prefix_builders:
+            assert sum(key[0] == name for key in _ARRAYS._held) <= 1, name
+    finally:
+        _ARRAYS.clear()
 
 
 def test_swap_reports_do_not_depend_on_order():

@@ -13,6 +13,9 @@ writes:
 - ``verify --suite all`` with the arguments of the ``verify-all`` benchmark
   workload at seed 1, with ``--out``;
 - the ROADMAP scan, ``scan --dmin -10000 --dmax 10000 --x 1e6 --jobs 2``;
+- the 20 one-row scans of the ``scan-large-q`` benchmark workload (q near
+  2e5 at x = 2.5e5, so L(1) sums one period literally), from the parent's
+  perfbench/run.py;
 - the ``lvalues`` calls of the 100 queries of ``lvalues_stream(1, 0, 100)``
   from the parent's perfbench/run.py.
 
@@ -65,6 +68,8 @@ def named_calls(run) -> list[tuple[str, list[str], str | None]]:
         ("verify verify-all", verify_all, "verify-all.json"),
         ("roadmap scan", ROADMAP_SCAN, None),
     ]
+    for argv in run.make_workload("scan-large-q", 1, False).calls():
+        calls.append((f"scan {argv[2]}..{argv[4]} x={argv[6]}", argv, None))
     for d, method, x in run.lvalues_stream(1, 0, 100):
         calls.append((f"lvalues {d} {method} {x}",
                       ["lvalues", "--d", str(d), "--x", x, "--method", method], None))
