@@ -23,20 +23,20 @@ block of the last R terms; below, the K periods and the R terms are summed
 literally, one residue block at a time.  This gives the L(1) at x^2 inside
 the rearranged route and the scan's L(1) at x.  It runs in chunks through
 reused buffers, with numpy as the one runtime dependency, builds no
-length-x array, and states its own rounding bound.
+length-x array, and states its own rounding bound.  So does the direct
+L'(1) (_chi_log_n_over_n_by_periods), with no closed form to start from.
 
-The two other sums have the form sum_{n<=x} chi(n) w(n) with weights
-(log(n)/n, H(floor(x/n))/n) that do not depend on d.  The weights are
-cached per x in the process-wide cache bounded in bytes (primes._ARRAYS,
-least recently used out first), next to the chi periods.  One kernel,
-_chi_weighted_sum, sums the products leaf by leaf along the pairwise tree
-that np.sum itself would run over the whole length-x product: each leaf of
-at most 2^15 terms is multiplied into one reused scratch buffer and summed
-by np.sum, and the leaf sums are added in the tree's order.  The value is
+The tau sum, sum_{n<=x} chi(n) w(n) with w(n) = H(floor(x/n))/n, is the one
+O(x) sum left.  Its weights do not depend on d and are cached per x in the
+process-wide cache bounded in bytes (primes._ARRAYS, least recently used
+out first), next to the chi periods.  One kernel, _chi_weighted_sum, sums
+the products leaf by leaf along the pairwise tree that np.sum itself would
+run over the whole length-x product: each leaf of at most 2^15 terms is
+multiplied into one reused scratch buffer on a cache line and summed by
+np.sum, and the leaf sums are added in the tree's order.  The value is
 that of the literal np.sum bit for bit, and no length-x product array is
 made.  The walk is a module-level function, not a closure, so that no
-reference cycle keeps a weight array alive.  The direct L'(1) sum is also
-memoised by (d, floor(x)).
+reference cycle keeps a weight array alive.
 
 The module also carries the product quantities used by the discriminant scan
 
@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -103,10 +102,6 @@ __all__ = [
 
 EULER_GAMMA = 0.57721566490153286
 
-# The largest truncation of l_one_prime_direct, whose literal sum of x terms
-# reads log(n)/n as one length-x array (160 MB at this limit).
-_DIRECT_LIMIT = 2 * 10**7
-
 # Calibrated constant of the tau-identity error term c q^{1/4} x^{-1/2} log x.
 _TAU_C_CAL = 10.0
 
@@ -121,36 +116,15 @@ class LValueEstimate:
     value 9e-16 away from pi/4.  l_one adds at most 17 eps (log x + 2) of
     rounding below _TAYLOR_K q, and from there on 4 eps (log q + 4) for odd
     chi and 4 eps (8 sqrt(q) + log q + 4) for even chi, eps = 2^-52
-    (_chi_over_n_by_periods).  The tau-identity bound rests on a
-    calibrated constant, not a proof.
+    (_chi_over_n_by_periods).  l_one_prime_direct adds at most 17 eps
+    ((log y)^2/2 + log y + 2), y = min(x, _TAYLOR_K q).  The tau-identity
+    bound rests on a calibrated constant, not a proof.
     """
 
     value: float
     truncation: float
     bound: float
     method: str  # "direct" | "tau-identity" | "class-number"
-
-
-# Entries per pass of _log_over_n: its log buffer (512 KiB) stays in L2.
-_LOG_CHUNK = 2**16
-
-
-@_ARRAYS
-def _log_over_n(x: int) -> np.ndarray:
-    """log(n)/n for n <= x, built in place in one length-x array.
-
-    np.log and the divide go chunk by chunk through one reused buffer of
-    _LOG_CHUNK entries, not through a second length-x array; each entry is
-    the same log(n) rounded, then divided by n, as in np.log(ns) / ns.
-    """
-    out = np.arange(1, x + 1, dtype=np.float64)
-    buf = np.empty(min(x, _LOG_CHUNK), dtype=np.float64)
-    for lo in range(0, x, _LOG_CHUNK):
-        ns = out[lo : lo + _LOG_CHUNK]
-        logs = buf[: ns.size]
-        np.log(ns, out=logs)
-        np.divide(logs, ns, out=ns)
-    return out
 
 
 @_ARRAYS
@@ -169,6 +143,15 @@ def _tau_weights(x: int) -> np.ndarray:
     floors = x // np.arange(1, x + 1, dtype=np.int64)
     w = h[floors]
     return np.multiply(inv, w, out=w)
+
+
+def _aligned_rows(k: int, n: int) -> np.ndarray:
+    """k empty float64 rows of n entries, each on a 64-byte boundary, in one block:
+    numpy aligns to 16 bytes, and kernels writing off a cache line run slower."""
+    m = -(-n // 8) * 8  # the row stride, whole cache lines
+    raw = np.empty(k * m + 7, dtype=np.float64)
+    skip = (-raw.ctypes.data % 64) // 8
+    return raw[skip : skip + k * m].reshape(k, m)[:, :n]
 
 
 # The largest leaf of _chi_weighted_sum.  It must be at least 128, the block
@@ -195,7 +178,7 @@ def _chi_weighted_sum(D: FundamentalDiscriminant, w: np.ndarray) -> float:
     x = w.size
     q = D.q
     chi = chi_values_up_to(D, min(x, _LEAF + q))[1:].astype(np.float64)
-    buf = np.empty(min(x, _LEAF), dtype=np.float64)
+    buf = _aligned_rows(1, min(x, _LEAF))[0]
     return _pairwise_leaves(w, chi, buf, q, 0, x)
 
 
@@ -218,13 +201,6 @@ def _pairwise_leaves(
     out = buf[:n]
     np.multiply(w[lo : lo + n], chi[off : off + n], out=out)
     return float(np.sum(out))
-
-
-# The direct L'(1) sum is memoised by (d, X): D compares and hashes by d
-# alone, and the verify suites ask for the same reference L'(1) repeatedly.
-@lru_cache(maxsize=1024)
-def _direct_chi_log_over_n(D: FundamentalDiscriminant, X: int) -> float:
-    return -_chi_weighted_sum(D, _log_over_n(X))
 
 
 # The Taylor route of _chi_over_n_by_periods needs K >= _TAYLOR_K periods:
@@ -262,6 +238,21 @@ def _hurwitz_zeta(s: int, a: float) -> float:
         total += c * term
         term *= (s + 2 * k - 1) * (s + 2 * k) * inv2
     return total
+
+
+def _hurwitz_zeta_ds(s: int, a: float) -> float:
+    """d/ds zeta(s, a), s >= 2 and a >= 10, by _hurwitz_zeta's terms differentiated:
+    -log(a) zeta(s, a), -a^(1-s)/(s-1)^2, and each rising factorial
+    s(s+1)...(s+2k-2) times sum_{i<=2k-2} 1/(s+i)."""
+    total = -a ** (1 - s) / (s - 1) ** 2
+    term = s * a ** (-1 - s)
+    inv2 = 1.0 / (a * a)
+    rise = 1.0 / s
+    for k, c in enumerate(_EM_COEF, 1):
+        total += c * term * rise
+        term *= (s + 2 * k - 1) * (s + 2 * k) * inv2
+        rise += 1.0 / (s + 2 * k - 1) + 1.0 / (s + 2 * k)
+    return total - math.log(a) * _hurwitz_zeta(s, a)
 
 
 def _tail_order(K: int) -> int:
@@ -322,7 +313,7 @@ def _chi_over_n_by_periods(D: FundamentalDiscriminant, x: int) -> float:
     half = (q + 1) // 2
     m = min(q - 1, _PERIOD_CHUNK)
     base = np.arange(m, dtype=np.float64)
-    r_buf, chi_buf, t_buf, w_buf = (np.empty(m, dtype=np.float64) for _ in range(4))
+    r_buf, chi_buf, t_buf, w_buf = _aligned_rows(4, m)
     closed, tail, literal = [], [], []
     for lo in range(1, q, m):
         n = min(m, q - lo)
@@ -363,6 +354,59 @@ def _chi_over_n_by_periods(D: FundamentalDiscriminant, x: int) -> float:
     return math.fsum((l1, math.fsum(tail) / q, math.fsum(literal)))
 
 
+def _chi_log_n_over_n_by_periods(D: FundamentalDiscriminant, x: int) -> float:
+    """sum_{n<=x} chi(n) log(n)/n grouped into complete periods, in O(q) work.
+
+    With x = K q + R, T = _TAYLOR_K and t = r/q, the periods past K q add up
+    to (1/q) sum_r chi(r) sum_j c_j(K) t^j, c_j(K) = (-1)^(j+1) [(H_j - log q)
+    zeta(j+1, K) + zeta'(j+1, K)], H_j = 1 + ... + 1/j.  For K > T the first
+    T periods are literal and the rest up to K q is the tail with c_j(T) -
+    c_j(K), whose term j is at most T^-j [(log(qT) + H_j)(1/T + 1/j) +
+    1/j^2]/(j+1): below 2^-60 past J = _tail_order(T) + 1 = 17 terms, for
+    q <= 2^26.  The last R terms, and for K <= T all K periods, are literal.
+    Rounding (eps = 2^-52, np.log within 4 ulp): within 17 eps ((log y)^2/2
+    + log y + 2), y = min(x, T q): 17 eps on each literal term, as in
+    _chi_over_n_by_periods, and J + 23 eps on the tail, of size (log(Tq) + 2)/16.
+    """
+    q = D.q
+    per = chi_period(D)
+    K, R = divmod(x, q)
+    if K > _TAYLOR_K:
+        T, lq, h, coef = float(_TAYLOR_K), math.log(q), 0.0, []
+        for j in range(1, _tail_order(_TAYLOR_K) + 2):
+            h += 1.0 / j
+            z = _hurwitz_zeta(j + 1, T) - _hurwitz_zeta(j + 1, float(K))
+            dz = _hurwitz_zeta_ds(j + 1, T) - _hurwitz_zeta_ds(j + 1, float(K))
+            coef.append((-1) ** (j + 1) * ((h - lq) * z + dz))
+    blocks = [(k, q - 1) for k in range(min(K, _TAYLOR_K))] + [(K, R)]
+    m = min(q - 1, _PERIOD_CHUNK)
+    base = np.arange(m, dtype=np.float64)
+    r_buf, chi_buf, v_buf, w_buf = _aligned_rows(4, m)
+    tail, literal = [], []
+    for lo in range(1, q, m):
+        n = min(m, q - lo)
+        r, chi, v, w = r_buf[:n], chi_buf[:n], v_buf[:n], w_buf[:n]  # v: kq + r, then r/q
+        np.add(base[:n], lo, out=r)
+        np.copyto(chi, per[lo : lo + n])
+        for k, top in blocks:
+            k2 = min(n, top - lo + 1)
+            if k2 > 0:
+                np.add(r[:k2], float(k * q), out=v[:k2])
+                np.log(v[:k2], out=w[:k2])
+                np.multiply(w[:k2], chi[:k2], out=w[:k2])
+                np.divide(w[:k2], v[:k2], out=w[:k2])
+                literal.append(float(np.sum(w[:k2])))
+        if K > _TAYLOR_K:
+            np.divide(r, q, out=v)
+            np.multiply(v, coef[-1], out=w)
+            for c in reversed(coef[:-1]):
+                np.add(w, c, out=w)
+                np.multiply(w, v, out=w)
+            np.multiply(w, chi, out=w)
+            tail.append(float(np.sum(w)))
+    return math.fsum((math.fsum(tail) / q, math.fsum(literal)))
+
+
 def _check_truncation(x: float, q: int) -> None:
     """A series truncation must be a finite number >= q."""
     if not math.isfinite(x):
@@ -388,15 +432,13 @@ def l_one_prime_direct(D: FundamentalDiscriminant, x: float) -> LValueEstimate:
     """Truncated L'(1, chi) = -sum_{n<=x} chi(n) log(n)/n.
 
     Tail bound 2 sqrt(q) log(q) (log x + 1)/x by partial summation against
-    the Polya-Vinogradov bound.  The sum goes through _chi_weighted_sum and
-    is memoised by (d, floor(x)); truncation and bound come from x itself.
+    the Polya-Vinogradov bound.  The sum runs by complete periods in O(q)
+    work and memory at every x (_chi_log_n_over_n_by_periods), within its
+    stated rounding bound.
     """
     q = D.q
     _check_truncation(x, q)
-    X = math.floor(x)
-    if X > _DIRECT_LIMIT:
-        raise DomainError("direct L' truncation above the desk limit")
-    value = _direct_chi_log_over_n(D, X)
+    value = -_chi_log_n_over_n_by_periods(D, math.floor(x))
     bound = 2.0 * math.sqrt(q) * math.log(q) * (math.log(x) + 1.0) / x
     return LValueEstimate(value=value, truncation=float(x), bound=bound, method="direct")
 

@@ -145,7 +145,7 @@ def _nbytes(value: np.ndarray | tuple[np.ndarray, ...]) -> int:
     return sum(a.nbytes for a in (value if isinstance(value, tuple) else (value,)))
 
 
-# Three float64 arrays at lseries' direct limit of 2e7 terms (480 MB).  The
-# sieve and rho tables of 1e7 (2^24) take 160 and 128 MiB; at 2^26 they take
-# 640 and 512 MiB, over the budget, so they are returned but not held.
+# 480 MB: room for the sieve and rho tables of 1e7 (2^24 entries, 160 and
+# 128 MiB) and the tau weights at 1e7 (76 MiB) together.  At 2^26 the tables
+# take 640 and 512 MiB, over the budget, so they are returned but not held.
 _ARRAYS = _ArrayCache(3 * 8 * 2 * 10**7)

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .characters import FundamentalDiscriminant, drop_period, is_fundamental
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .lseries import euler_p_ratio, l_one, l_one_prime_tau, main_term_product
-from .primes import factorize
+from .primes import DEFAULT_MAX_WIDTH, factorize
 
 __all__ = ["ScanRow", "scan_discriminants", "SCAN_COLUMNS", "write_scan_csv"]
 
@@ -70,6 +70,7 @@ def scan_discriminants(d_lo: int, d_hi: int, x: float, jobs: int = 1) -> list[Sc
     L(1) is the series truncated at x, summed by complete periods
     (lseries.l_one); L'(1) comes from the tau rearrangement at x.  Rows are sorted ascending by
     score (= L1), ties by d, so output is independent of the worker count.
+    A |d| above primes.DEFAULT_MAX_WIDTH raises CapacityError up front.
     """
     if d_lo > d_hi:
         raise DomainError("need d_lo <= d_hi")
@@ -80,6 +81,8 @@ def scan_discriminants(d_lo: int, d_hi: int, x: float, jobs: int = 1) -> list[Sc
     q_max = max(abs(d_lo), abs(d_hi))
     if x < q_max:
         raise DomainError("truncation x must cover every modulus in range")
+    if q_max > DEFAULT_MAX_WIDTH:
+        raise CapacityError(f"chi period length {q_max} exceeds budget {DEFAULT_MAX_WIDTH}")
     X = math.floor(x)
     args = [(d, X) for d in range(d_lo, d_hi + 1) if is_fundamental(d)]
     if jobs == 1 or len(args) < 4:

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import siegelscan
+from siegelscan import CapacityError
 from siegelscan.cli import build_parser, main
 from siegelscan.scan import ScanRow, scan_discriminants, write_scan_csv
 
@@ -158,6 +159,21 @@ def test_scan_x_too_small_exits_two(tmp_path):
         "--out", str(tmp_path / "scan.csv"),
     )
     assert code == 2
+
+
+def test_out_of_capacity_scan_window_is_refused_before_enumeration(capsys, monkeypatch):
+    # a |d| above primes.DEFAULT_MAX_WIDTH would raise CapacityError at its
+    # chi period; the window is refused before a single d is tested
+    def no_enumeration(d):
+        raise AssertionError("the window was enumerated")
+
+    monkeypatch.setattr("siegelscan.scan.is_fundamental", no_enumeration)
+    with pytest.raises(CapacityError):
+        scan_discriminants(-(10**11), 10**11, 1e12)
+    argv = ["scan", "--dmin", "-100000000000", "--dmax", "100000000000", "--x", "1e12"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(

@@ -172,8 +172,10 @@ def test_l_value_domain_errors():
     D = FundamentalDiscriminant(-163)
     with pytest.raises(DomainError):
         l_one(D, 100)  # x < q
-    with pytest.raises(DomainError):
-        l_one_prime_direct(D, 10**8)  # beyond the literal-summation limit
+    # no upper limit: x = 1e8 is summed by periods, within its bounds of L'(1)
+    est = l_one_prime_direct(D, 10**8)
+    err = abs(est.value - lerch_l_prime(D.d))
+    assert err <= est.bound + l_prime_rounding_bound(D, 10**8), (est, err)
     for fn in (l_one, l_one_prime_direct, l_one_prime_tau):
         for x in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
@@ -507,14 +509,29 @@ def inv_n(x):
     return 1.0 / np.arange(1, x + 1)
 
 
+def log_over_n(x):
+    """log(n)/n for n <= x as float64, the literal expression."""
+    ns = np.arange(1, x + 1, dtype=np.float64)
+    return np.log(ns) / ns
+
+
 def kernel_sums(D, x):
-    # L(1) from the length-x kernel itself over a local 1/n: l_one takes
-    # complete periods at every x
+    # L(1) and L'(1) from the length-x kernel itself over local weights:
+    # l_one and l_one_prime_direct take complete periods at every x
     return (
         lseries._chi_weighted_sum(D, inv_n(x)),
-        l_one_prime_direct(D, x).value,
+        -lseries._chi_weighted_sum(D, log_over_n(x)),
         tau_over_n_sum(D, x),
     )
+
+
+def assert_kernel_sums_and_direct_l_prime(D, x):
+    """The kernel equals the literal sums bit for bit, and l_one_prime_direct
+    is within its stated rounding bound of the literal L'(1) sum."""
+    want = literal_sums(D, x)
+    assert kernel_sums(D, x) == want, (D.d, x)
+    got = l_one_prime_direct(D, x).value
+    assert abs(got - want[1]) <= l_prime_rounding_bound(D, x), (D.d, x, got, want[1])
 
 
 FUNDAMENTALS_TO_5000 = [D.d for D in enumerate_fundamentals(-5000, 5000)]
@@ -530,8 +547,7 @@ def d_and_x(draw):
 @given(d_and_x())
 def test_kernel_sums_equal_literal_formulas(case):
     d, x = case
-    D = FundamentalDiscriminant(d)
-    assert kernel_sums(D, x) == literal_sums(D, x)
+    assert_kernel_sums_and_direct_l_prime(FundamentalDiscriminant(d), x)
 
 
 def edge_truncations(q):
@@ -550,7 +566,7 @@ def test_kernel_sums_block_edges(d):
     # the blocks are the leaves of the kernel's walk, one np.sum call each
     D = FundamentalDiscriminant(d)
     for x in edge_truncations(D.q):
-        assert kernel_sums(D, x) == literal_sums(D, x), x
+        assert_kernel_sums_and_direct_l_prime(D, x)
 
 
 def test_kernel_sums_modulus_above_block():
@@ -562,7 +578,7 @@ def test_kernel_sums_modulus_above_block():
     for D in Ds:
         assert D.q > L
         for x in edge_truncations(D.q) + [D.q + 1, 2 * D.q + 18, 3 * D.q - 1]:
-            assert kernel_sums(D, x) == literal_sums(D, x), (D.d, x)
+            assert_kernel_sums_and_direct_l_prime(D, x)
 
 
 def test_kernel_equals_np_sum_at_large_x():
@@ -571,7 +587,7 @@ def test_kernel_equals_np_sum_at_large_x():
     Ds = [FundamentalDiscriminant(d) for d in (-3, -4, 5, 8, -200003)] + [near_1e6]
     try:
         for x in (10**6, 10**7):
-            weights = [inv_n(x), lseries._log_over_n(x)]
+            weights = [inv_n(x), log_over_n(x)]
             if x == 10**6:
                 weights.append(lseries._tau_weights(x))
             for D in Ds:
@@ -626,9 +642,7 @@ def test_direct_sums_memoised_by_floor_of_x():
     assert a.bound == math.sqrt(23) * math.log(23) / x
     assert b.bound == math.sqrt(23) * math.log(23) / (x + 0.5)
     c = l_one_prime_direct(D, 1e4)
-    before = lseries._direct_chi_log_over_n.cache_info().hits
     e = l_one_prime_direct(D, 1e4 + 0.5)
-    assert lseries._direct_chi_log_over_n.cache_info().hits == before + 1
     assert c.value == e.value
     assert (c.truncation, e.truncation) == (1e4, 1e4 + 0.5)
     assert c.bound != e.bound
@@ -835,9 +849,10 @@ def test_period_route_equals_reference_large_q():
 
 
 def test_l_one_takes_the_period_route_above_the_direct_limit():
-    # l_one goes by periods at any q.  For big, q > x/10: fewer than 10
-    # periods fit, and they are summed literally.
-    x = lseries._DIRECT_LIMIT + 1
+    # l_one goes by periods at any q, past the 2e7 that l_one_prime_direct
+    # once refused.  For big, q > x/10: fewer than 10 periods fit, and they
+    # are summed literally.
+    x = 2 * 10**7 + 1
     big = list(enumerate_fundamentals(-2_000_100, -2_000_001))[-1]
     assert x < lseries._TAYLOR_K * big.q
     for D in (FundamentalDiscriminant(-999983), big):
@@ -981,12 +996,202 @@ def test_hurwitz_zeta_within_its_error_term(K):
         assert abs(got - want) <= 4 * math.ulp(float(want)) + left_out, (s, K)
 
 
+# ----------------------------------------------- L'(1) by complete periods
+
+
+@functools.lru_cache(maxsize=None)
+def zeta_ds_reference(s, K):
+    """d/ds zeta(s, K) to 30 digits for an integer K >= 1.
+
+    Below ZETA_PREFIX_K as zeta'(s) + sum_{n<K} log(n) n^-s, with the
+    digits that cancel added to the working precision, as in zeta_prefix.
+    Above, mpmath.zeta(s, K, 1) works with s log10(K) more digits.
+    """
+    if K <= ZETA_PREFIX_K:
+        with mpmath.workdps(30 + int((s + 1) * math.log10(K)) + 4):
+            terms = (mpmath.log(n) * mpmath.mpf(n) ** -s for n in range(2, K))
+            return mpmath.zeta(s, 1, 1) + mpmath.fsum(terms)
+    with mpmath.workdps(30 + int(s * math.log10(K)) + 1):
+        return mpmath.zeta(s, K, 1)
+
+
+@pytest.mark.parametrize("K", [10, 11, 32, 1000, 312496, 10**12, 10**150, 10**300])
+def test_hurwitz_zeta_ds_within_its_error_term(K):
+    # within 4 ulp plus the first Euler-Maclaurin term left out, differentiated
+    # in s: that term times log(K) + sum_{i<=20} 1/(s+i)
+    for s in range(2, 22):
+        got = lseries._hurwitz_zeta_ds(s, float(K))
+        if (s - 1) * math.log10(K) > 310:  # |zeta'(s, K)| < log(K) K^(1-s) < 1e-307
+            assert abs(got) < 1e-300, (s, K)
+            continue
+        want = zeta_ds_reference(s, K)
+        with mpmath.workdps(30):
+            left_out = abs(mpmath.bernoulli(22)) / mpmath.factorial(22) * mpmath.rf(s, 21)
+            left_out *= mpmath.mpf(K) ** (-s - 21)
+            left_out *= mpmath.log(K) + mpmath.fsum(1 / mpmath.mpf(s + i) for i in range(21))
+        assert abs(got - want) <= 4 * math.ulp(float(want)) + left_out, (s, K)
+
+
+def test_l_prime_tail_order_meets_its_bound():
+    # term j of the tail is at most T^-j [(log(qT) + H_j)(1/T + 1/j) + 1/j^2]
+    # /(j+1), as sum_{k>=T} (log(qk) + H_j)/k^(j+1) is at most the bracket;
+    # past J = _tail_order(T) + 1 terms these add up to below 2^-60 at the
+    # largest q, and past J - 1 they would not
+    T = lseries._TAYLOR_K
+    J = lseries._tail_order(T) + 1
+    q = DEFAULT_MAX_WIDTH
+    with mpmath.workdps(30):
+        lqT = mpmath.log(q * T)
+
+        def bracket(j):
+            return mpmath.mpf(T) ** -j * (
+                (lqT + mpmath.harmonic(j)) * (mpmath.mpf(1) / T + mpmath.mpf(1) / j)
+                + mpmath.mpf(1) / j**2
+            )
+
+        for j in range(1, J + 6):
+            lq, H = mpmath.log(q), mpmath.harmonic(j)
+            assert (lq + H) * zeta_reference(j + 1, T) - zeta_ds_reference(j + 1, T) <= bracket(j)
+
+        def left(J):
+            return mpmath.fsum(bracket(j) / (j + 1) for j in range(J + 1, J + 40))
+
+        assert left(J) <= mpmath.mpf(2) ** -60 < left(J - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def lerch_l_prime(d):
+    """L'(1, chi_d) to 30 digits for d < 0, by Lerch's formula.
+
+    L'(1)/L(1) = log(2 pi/q) + gamma - L'(0)/L(0), with
+    L(0) = -(1/q) sum_{r<q} r chi(r) and
+    L'(0) = sum_{r<q} chi(r) log Gamma(r/q) - log(q) L(0)
+    (the functional equation of odd chi; Washington, Cyclotomic Fields, 4.9).
+    """
+    D = FundamentalDiscriminant(d)
+    q, per = D.q, chi_period(D)
+    rs = np.flatnonzero(per).tolist()
+    with mpmath.workdps(30):
+        l0 = -mpmath.fsum(r * int(per[r]) for r in rs) / q
+        dl0 = mpmath.fsum(int(per[r]) * mpmath.loggamma(mpmath.mpf(r) / q) for r in rs)
+        dl0 -= mpmath.log(q) * l0
+        return l_one_reference(d) * (mpmath.log(2 * mpmath.pi / q) + mpmath.euler - dl0 / l0)
+
+
+# l_prime_sum_reference sums at most this many terms one by one
+LITERAL_REF_MAX = 20000
+
+
+def l_prime_sum_reference(D, x):
+    """sum_{n<=x} chi(n) log(n)/n to 30 digits, by a route of its own.
+
+    Up to LITERAL_REF_MAX every term is summed.  Above, with x = K q + R and
+    t = r/q, the first K periods are (1/q) sum_r chi(r) [log q (psi(K + t)
+    - psi(t)) + gamma_1(t) - gamma_1(K + t)], as gamma_1(t) - gamma_1(K + t)
+    = sum_{k<K} log(k + t)/(k + t) for the generalized Stieltjes constant
+    gamma_1 (mpmath.stieltjes, tens of ms each, so only small q), and the
+    R terms after K q are summed one by one.
+    """
+    q, per = D.q, chi_period(D)
+    K, R = divmod(x, q)
+
+    def literal(start, n):
+        return mpmath.fsum(
+            int(per[r % q]) * mpmath.log(start + r) / (start + r)
+            for r in range(1, n + 1)
+            if per[r % q]
+        )
+
+    with mpmath.workdps(30):
+        if x <= LITERAL_REF_MAX:
+            return literal(0, x)
+        lq, periods = mpmath.log(q), []
+        for r in np.flatnonzero(per).tolist():
+            t = mpmath.mpf(r) / q
+            psi = mpmath.digamma(K + t) - mpmath.digamma(t)
+            gamma1 = mpmath.stieltjes(1, t) - mpmath.stieltjes(1, K + t)
+            periods.append(int(per[r]) * (lq * psi + gamma1))
+        return mpmath.fsum(periods) / q + literal(K * q, R)
+
+
+def l_prime_rounding_bound(D, x):
+    """The rounding bound that _chi_log_n_over_n_by_periods states for its value."""
+    ly = math.log(min(x, lseries._TAYLOR_K * D.q))
+    return 17 * EPS * (ly * ly / 2 + ly + 2)
+
+
+@pytest.mark.parametrize("d", [-3, -4, -7, 5, 8, -1007, 1009])
+def test_l_prime_period_route_equals_reference(d):
+    # within the stated rounding bound of the 30-digit value, both parities:
+    # K = 1, 7, 9 and 10 periods summed literally, then the Taylor tail from
+    # K = 11 on, and for small q x = 1e7 and 1e12 against the Stieltjes form
+    D = FundamentalDiscriminant(d)
+    q = D.q
+    xs = [q, 7 * q + 1, 10 * q - 1, 10 * q, 10 * q + 1, 11 * q + 2, 15 * q]
+    if q < 10:
+        xs += [10**7, 10**12]
+    for x in xs:
+        got = l_one_prime_direct(D, x).value
+        ref = -l_prime_sum_reference(D, x)
+        assert abs(got - ref) <= l_prime_rounding_bound(D, x), (d, x, got, ref)
+
+
+def test_l_prime_textbook_value_at_1e12():
+    # L'(1, chi_-4) = (pi/4)(gamma + 2 log 2 + 3 log pi - 4 log Gamma(1/4)),
+    # and Lerch's formula gives the same 30 digits
+    D = FundamentalDiscriminant(-4)
+    with mpmath.workdps(30):
+        pi = mpmath.pi
+        want = pi / 4 * (mpmath.euler + 2 * mpmath.log(2) + 3 * mpmath.log(pi)
+                         - 4 * mpmath.loggamma(mpmath.mpf(1) / 4))
+        assert abs(lerch_l_prime(-4) - want) < mpmath.mpf(10) ** -28
+    est = l_one_prime_direct(D, 1e12)
+    assert abs(est.value - want) <= est.bound + l_prime_rounding_bound(D, 1e12)
+
+
+def test_l_prime_builds_no_length_x_array():
+    # the O(x) sum built log(n)/n at x = 1e7 (76 MiB); the period route holds
+    # its O(q) chunk buffers only (640 KiB at q >= 2^14), at any x
+    for d in (-4, 5, -200003):
+        D = FundamentalDiscriminant(d)
+        chi_period(D)
+        for x in (10**7, 10**9):
+            tracemalloc.start()
+            try:
+                l_one_prime_direct(D, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (d, x, peak)
+
+
+def test_kernel_scratch_buffers_start_on_a_cache_line(monkeypatch):
+    # numpy aligns to 16 bytes only; the kernels run slower off a cache line
+    offsets = []
+    walk = lseries._pairwise_leaves
+
+    def recording(w, chi, buf, *args):
+        offsets.append(buf.ctypes.data % 64)
+        return walk(w, chi, buf, *args)
+
+    monkeypatch.setattr(lseries, "_pairwise_leaves", recording)
+    D = FundamentalDiscriminant(-4)
+    for x in (100, 1000, lseries._LEAF, 10**6):
+        offsets.clear()
+        lseries._chi_weighted_sum(D, np.ones(x))
+        assert offsets and set(offsets) == {0}, (x, offsets)
+    # the period passes take their four buffers as rows of one block
+    for n in (1, 7, 100, lseries._PERIOD_CHUNK):
+        rows = lseries._aligned_rows(4, n)
+        assert rows.shape == (4, n), n
+        assert all(row.flags.c_contiguous and row.ctypes.data % 64 == 0 for row in rows), n
+
+
 def test_weight_cache_builds_each_array_once_within_budget():
     # d-major over x = 1e4, 1e5, 1e6 with L(1) and L'(1) at 1e7, as
     # TAU_LOG_GRID runs; per-kind two-entry LRUs built 1/n 20 times here
     cache = _ARRAYS
     cache.clear()
-    lseries._direct_chi_log_over_n.cache_clear()
     misses = cache.misses.copy()
     try:
         for d, x in TAU_LOG_GRID:
@@ -998,9 +1203,10 @@ def test_weight_cache_builds_each_array_once_within_budget():
             l_one_prime_direct(D, 10**7)
             assert cache.nbytes <= cache.budget
         xs = sorted({math.floor(x) for _, x in TAU_LOG_GRID})
-        # L(1) goes by complete periods and the tau weights build 1/n in
-        # place, so no 1/n array is among the builds, as the miss count confirms
-        built = {("_tau_weights", x) for x in xs} | {("_log_over_n", 10**7)}
+        # L(1) and L'(1) go by complete periods and the tau weights build 1/n
+        # in place, so no 1/n or log(n)/n array is among the builds, as the
+        # miss count confirms
+        built = {("_tau_weights", x) for x in xs}
         built |= {("_period", d) for d, _ in TAU_LOG_GRID}
         assert len({d for d, _ in TAU_LOG_GRID}) == 5
         assert set(cache._held) == built
@@ -1011,38 +1217,40 @@ def test_weight_cache_builds_each_array_once_within_budget():
 
 
 def test_weight_cache_evicts_by_bytes_and_skips_oversized(monkeypatch):
+    def ramp(x):  # a toy builder next to the tau weights
+        return np.arange(1, x + 1, dtype=np.float64)
+
+    ramp = _ARRAYS(ramp)
     cache = _ARRAYS
     cache.clear()
     monkeypatch.setattr(cache, "budget", 8 * 1000)
     try:
         misses = cache.misses.copy()
         # larger than the whole budget: returned, not held, so built again
-        w = lseries._log_over_n(1001)
-        ns = np.arange(1, 1002, dtype=np.float64)
-        assert np.array_equal(w, np.log(ns) / ns)
+        w = ramp(1001)
+        assert np.array_equal(w, np.arange(1, 1002, dtype=np.float64))
         assert cache.nbytes == 0 and not cache._held
-        lseries._log_over_n(1001)
-        assert cache.misses - misses == Counter({"_log_over_n": 2})
+        ramp(1001)
+        assert cache.misses - misses == Counter({"ramp": 2})
         # exactly the budget is held; the next array pushes out the oldest
-        lseries._log_over_n(600)
+        ramp(600)
         lseries._tau_weights(400)
-        assert list(cache._held) == [("_log_over_n", 600), ("_tau_weights", 400)]
-        lseries._log_over_n(600)  # a hit moves it to the back
-        lseries._log_over_n(300)
-        assert list(cache._held) == [("_log_over_n", 600), ("_log_over_n", 300)]
+        assert list(cache._held) == [("ramp", 600), ("_tau_weights", 400)]
+        ramp(600)  # a hit moves it to the back
+        ramp(300)
+        assert list(cache._held) == [("ramp", 600), ("ramp", 300)]
         assert cache.nbytes == 8 * 900 <= cache.budget
-        assert cache.misses - misses == Counter({"_log_over_n": 4, "_tau_weights": 1})
+        assert cache.misses - misses == Counter({"ramp": 4, "_tau_weights": 1})
     finally:
         cache.clear()
 
 
 def test_one_array_cache_serves_every_builder():
-    # chi periods, prime logs, the two weight kinds, the sieve columns and
-    # the rho base share one instance
+    # chi periods, prime logs, the tau weights, the sieve columns and the
+    # rho base share one instance
     builders = [
         characters._period,
         lseries._prime_logs,
-        lseries._log_over_n,
         lseries._tau_weights,
         sieve._sieve_columns,
         verify._rho_base,
@@ -1053,6 +1261,10 @@ def test_one_array_cache_serves_every_builder():
     assert caches == [_ARRAYS]
     assert not hasattr(lseries, "_WeightCache") and not hasattr(lseries, "_WEIGHTS")
     assert not hasattr(lseries, "_inv_n")
+    # L'(1) holds no weight array, memo or truncation limit of its own
+    for name in ("_log_over_n", "_LOG_CHUNK", "_direct_chi_log_over_n", "_DIRECT_LIMIT"):
+        assert not hasattr(lseries, name), name
+    assert not hasattr(lseries, "lru_cache")
     assert not hasattr(characters._period, "cache_info")
     assert not hasattr(lseries._prime_logs, "cache_info")
     assert not hasattr(sieve, "_shared") and not hasattr(verify, "_rho_held")
@@ -1077,25 +1289,14 @@ def test_no_module_holds_arrays_outside_the_cache():
 
 def test_weight_arrays_are_read_only():
     x = 1000
-    ns = np.arange(1, x + 1, dtype=np.float64)
-    with pytest.raises(ValueError):
-        lseries._log_over_n(x)[0] = 7.0
-    with pytest.raises(ValueError):
-        lseries._log_over_n(x)[:] *= 2.0
-    assert np.array_equal(lseries._log_over_n(x), np.log(ns) / ns)
     w = lseries._tau_weights(x).copy()
+    with pytest.raises(ValueError):
+        lseries._tau_weights(x)[0] = 7.0
+    with pytest.raises(ValueError):
+        lseries._tau_weights(x)[:] *= 2.0
     with pytest.raises(ValueError):
         lseries._tau_weights(x)[-1] = 0.0
     assert np.array_equal(lseries._tau_weights(x), w)
-
-
-def test_log_over_n_chunks_do_not_change_values(monkeypatch):
-    # the chunked in-place build, at lengths that are not multiples of the chunk
-    build = lseries._log_over_n.__wrapped__  # past the cache
-    for chunk, x in ((7, 7 * 13 + 5), (lseries._LOG_CHUNK, 2 * lseries._LOG_CHUNK + 3)):
-        monkeypatch.setattr(lseries, "_LOG_CHUNK", chunk)
-        ns = np.arange(1, x + 1, dtype=np.float64)
-        assert np.array_equal(build(x), np.log(ns) / ns), chunk
 
 
 @pytest.mark.parametrize("x", [1, 2, 4096, 100003])
@@ -1106,5 +1307,4 @@ def test_weight_arrays_equal_plain_expressions(x):
     h = np.zeros(x + 1, dtype=np.float64)
     np.cumsum(inv, out=h[1:])
     floors = x // np.arange(1, x + 1, dtype=np.int64)
-    assert np.array_equal(lseries._log_over_n(x), np.log(ns) / ns)
     assert np.array_equal(lseries._tau_weights(x), inv * h[floors])
