@@ -29,13 +29,15 @@ L'(1) (_chi_log_n_over_n_by_periods), with no closed form to start from.
 The tau sum, sum_{n<=x} chi(n) w(n) with w(n) = H(floor(x/n))/n, is the one
 O(x) sum left.  Its weights do not depend on d and are cached per x in the
 process-wide cache bounded in bytes (primes._ARRAYS, least recently used
-out first), next to the chi periods.  One kernel, _chi_weighted_sum, sums
-the products leaf by leaf along the pairwise tree that np.sum itself would
-run over the whole length-x product: each leaf of at most 2^15 terms is
-multiplied into one reused scratch buffer on a cache line and summed by
-np.sum, and the leaf sums are added in the tree's order.  The value is
-that of the literal np.sum bit for bit, and no length-x product array is
-made.  The walk is a module-level function, not a closure, so that no
+out first), next to the chi periods.  They are built in one pass over n in
+blocks of 2^15, with the result the only length-x array, and equal the
+plain expression (1/n) H[x // n] bit for bit (_tau_weights).  One kernel,
+_chi_weighted_sum, sums the products leaf by leaf along the pairwise tree
+that np.sum itself would run over the whole length-x product: each leaf of
+at most 2^15 terms is multiplied into one reused scratch buffer on a cache
+line and summed by np.sum, and the leaf sums are added in the tree's order.
+The value is that of the literal np.sum bit for bit, and no length-x
+product array is made.  The walk is a module-level function, not a closure, so that no
 reference cycle keeps a weight array alive.
 
 The module also carries the product quantities used by the discriminant scan
@@ -127,6 +129,13 @@ class LValueEstimate:
     method: str  # "direct" | "tau-identity" | "class-number"
 
 
+# The largest leaf of _chi_weighted_sum.  It must be at least 128, the block
+# that np.sum adds without splitting, so that every node the walk splits is
+# one that np.sum splits too.  It is also the block length of the one pass
+# of _tau_weights, whose scratch arrays then stay in L2.
+_LEAF = 2**15
+
+
 @_ARRAYS
 def _tau_weights(x: int) -> np.ndarray:
     """w[n-1] = H(floor(x/n))/n for n <= x, H(j) = sum_{k<=j} 1/k.
@@ -134,15 +143,44 @@ def _tau_weights(x: int) -> np.ndarray:
     The D-independent weights of tau_over_n_sum, cached per x as one array.
     Each entry is the product (1/n) * H(floor(x/n)) rounded once, so
     chi(n) * w[n-1] equals (chi(n)/n) * H(floor(x/n)) exactly: chi(n) is
-    -1, 0 or 1.  1/n is built in place here and dropped with the build.
+    -1, 0 or 1.
+
+    w is the only length-x array.  One pass over n in blocks of _LEAF writes
+    1/n into w and runs H on by np.cumsum over [H(lo), 1/n block]: cumsum
+    adds strictly in sequence, so every H(j) is the float that one cumsum
+    over all of 1/n gives.  Only the H that are read are kept: H(v) for
+    v <= s = isqrt(x), and H(x // n) for n <= s, each taken from the block
+    that holds it.  For n > s, v = x // n <= s is constant on runs of n
+    ending at x // v, and the block of w is multiplied by H(v) repeated over
+    the runs; w[:s] is multiplied by H(x // n) after the pass.  Each entry
+    is so fl((1/n) * H(floor(x/n))) of the same two floats as in the plain
+    expression (1/n) * H[x // n], bit for bit.
     """
-    inv = np.arange(1, x + 1, dtype=np.float64)
-    np.divide(1.0, inv, out=inv)
-    h = np.zeros(x + 1, dtype=np.float64)
-    np.cumsum(inv, out=h[1:])
-    floors = x // np.arange(1, x + 1, dtype=np.int64)
-    w = h[floors]
-    return np.multiply(inv, w, out=w)
+    w = np.empty(x, dtype=np.float64)
+    s = math.isqrt(x)
+    h_small = np.empty(s + 1, dtype=np.float64)  # H(v), v <= s
+    big_v = x // np.arange(s, 0, -1, dtype=np.int64)  # x // n, n = s..1: ascending
+    h_big = np.empty(s, dtype=np.float64)
+    h = np.zeros(min(x, _LEAF) + 1, dtype=np.float64)
+    for lo in range(0, x, _LEAF):
+        hi = min(lo + _LEAF, x)
+        inv = w[lo:hi]
+        np.divide(1.0, np.arange(lo + 1, hi + 1, dtype=np.float64), out=inv)
+        hb = h[: hi - lo + 1]  # H(lo..hi); hb[0] = H(lo) carried over
+        hb[1:] = inv
+        np.cumsum(hb, out=hb)
+        if lo <= s:
+            h_small[lo : min(hi, s) + 1] = hb[: min(hi, s) - lo + 1]
+        i0, i1 = np.searchsorted(big_v, [lo, hi + 1])
+        h_big[i0:i1] = hb[big_v[i0:i1] - lo]
+        a = max(lo, s) + 1  # the block's first n > s
+        if a <= hi:
+            vs = np.arange(x // a, x // hi - 1, -1, dtype=np.int64)
+            runs = np.minimum(x // vs, hi) - np.maximum(x // (vs + 1), a - 1)
+            inv[a - lo - 1 :] *= np.repeat(h_small[vs], runs)
+        h[0] = hb[-1]
+    w[:s] *= h_big[::-1]
+    return w
 
 
 def _aligned_rows(k: int, n: int) -> np.ndarray:
@@ -152,12 +190,6 @@ def _aligned_rows(k: int, n: int) -> np.ndarray:
     raw = np.empty(k * m + 7, dtype=np.float64)
     skip = (-raw.ctypes.data % 64) // 8
     return raw[skip : skip + k * m].reshape(k, m)[:, :n]
-
-
-# The largest leaf of _chi_weighted_sum.  It must be at least 128, the block
-# that np.sum adds without splitting, so that every node the walk splits is
-# one that np.sum splits too.
-_LEAF = 2**15
 
 
 def _chi_weighted_sum(D: FundamentalDiscriminant, w: np.ndarray) -> float:

@@ -32,7 +32,7 @@ from .characters import (
     chi_values_up_to,
     enumerate_fundamentals,
 )
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .lseries import (
     EULER_GAMMA,
     MultiplicativeFunc,
@@ -81,6 +81,10 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20260814
+
+# The most random cases run_suite takes of either kind.  Each case and its
+# held report take about 0.5 KB, so the cap is about 0.5 GB.
+MAX_CASES = 10**6
 
 # Truncation of the reference L(1) and L'(1) in the measured checks; their
 # tail bounds at this x are folded into each envelope.
@@ -867,6 +871,9 @@ def run_suite(
     """Run one named suite and return its reports.
 
     c_max, the ratio a measured check may reach, must be finite and > 0.
+    two_var_cases and swap_cases must be >= 0 (else DomainError) and at
+    most MAX_CASES = 10^6 (else CapacityError), both checked before any
+    case is built or any check is run.
     """
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
@@ -874,6 +881,8 @@ def run_suite(
         raise DomainError(f"c_max must be finite and > 0, got {c_max}")
     if two_var_cases < 0 or swap_cases < 0:
         raise DomainError("case counts must be >= 0")
+    if max(two_var_cases, swap_cases) > MAX_CASES:
+        raise CapacityError(f"case counts must be at most {MAX_CASES}")
     reports: list[IdentityReport] = []
 
     if suite in ("identities", "all"):

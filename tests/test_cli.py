@@ -216,6 +216,46 @@ def test_out_of_range_counts_exit_two(argv, capsys, monkeypatch):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_case_lists(monkeypatch):
+    from siegelscan import verify
+
+    def no_cases(*args):
+        raise AssertionError("a case list was built")
+
+    monkeypatch.setattr(verify, "random_two_var_cases", no_cases)
+    monkeypatch.setattr(verify, "random_swap_triples", no_cases)
+    return verify
+
+
+@pytest.mark.parametrize("flag", ["--two-var-cases", "--swap-cases"])
+@pytest.mark.parametrize("count", ["1000001", "1000000000"])
+def test_case_count_above_cap_exits_one(flag, count, capsys, no_case_lists):
+    # refused before any check runs or any case list is built
+    assert main(["verify", "--suite", "all", flag, count]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert "at most 1000000" in lines[0] and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("counts", [(10**6, 0), (0, 10**6)])
+def test_case_count_at_cap_passes_the_guard(counts, monkeypatch, no_case_lists):
+    verify = no_case_lists
+    assert verify.MAX_CASES == 10**6
+
+    class Reached(Exception):
+        pass
+
+    def first_check(*args):
+        raise Reached
+
+    monkeypatch.setattr(verify, "_two_var_named", first_check)
+    with pytest.raises(Reached):
+        verify.run_suite("identities", two_var_cases=counts[0], swap_cases=counts[1])
+
+
 def test_tau_beyond_capacity_exits_one(capsys, monkeypatch):
     # the guard fires before the length-x weights exist: building them fails
     def no_weights(x):

@@ -1299,12 +1299,43 @@ def test_weight_arrays_are_read_only():
     assert np.array_equal(lseries._tau_weights(x), w)
 
 
-@pytest.mark.parametrize("x", [1, 2, 4096, 100003])
-def test_weight_arrays_equal_plain_expressions(x):
-    # the cached weights are built in place; their values must not change
+def plain_tau_weights(x):
     ns = np.arange(1, x + 1, dtype=np.float64)
     inv = 1.0 / ns
     h = np.zeros(x + 1, dtype=np.float64)
     np.cumsum(inv, out=h[1:])
     floors = x // np.arange(1, x + 1, dtype=np.int64)
-    assert np.array_equal(lseries._tau_weights(x), inv * h[floors])
+    return inv * h[floors]
+
+
+_L = lseries._LEAF
+# block edges of the one pass; squares and near squares, where
+# s = isqrt(x) and the runs of x // n change; small x; 1e6 + 7 and 1e7
+_WEIGHT_GRID = sorted(
+    {_L - 1, _L, _L + 1, 2 * _L + 1, 4096, 100003, 10**6 + 7, 10**7}
+    | set(range(1, 31))
+    | {s * s + k for s in (2, 3, 7, 64, 181, 182, 1000) for k in (-1, 0, 1, s)}
+)
+
+
+@pytest.mark.parametrize("x", _WEIGHT_GRID)
+def test_weight_arrays_equal_plain_expressions(x):
+    # the cached weights are built in blocks; their values must not change
+    try:
+        assert np.array_equal(lseries._tau_weights(x), plain_tau_weights(x))
+    finally:
+        _ARRAYS.clear()
+
+
+@pytest.mark.parametrize("x", [10**6, 10**7])
+def test_weight_build_holds_only_its_result(x):
+    # the result is the one length-x array: the plain build peaked at four
+    _ARRAYS.clear()
+    tracemalloc.start()
+    try:
+        lseries._tau_weights(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _ARRAYS.clear()
+    assert peak <= 8 * x + 4 * 2**20, peak

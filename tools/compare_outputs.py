@@ -17,12 +17,16 @@ writes:
   2e5 at x = 2.5e5, so L(1) sums one period literally), from the parent's
   perfbench/run.py;
 - the ``lvalues`` calls of the 100 queries of ``lvalues_stream(1, 0, 100)``
-  from the parent's perfbench/run.py.
+  from the parent's perfbench/run.py;
+- ``lvalues --method tau`` at x = 1e7 and at x = 10012345, which is not a
+  multiple of the tau weights' block length 2^15, for d of both signs with
+  q from 3 to near 1e6 (TAU_CALLS), so that the tau weights are compared
+  above the x = 1e6 that the other calls reach.
 
 Exit 0 when every output is byte-identical, 1 otherwise.  Then stderr
 names every output that differs, in the order of the calls, with its count
 of differing lines and its first differing line (number and both lines).
-The scan takes about 10 s a side on a 2-vCPU host; the rest about 5 s.
+The scan takes about 10 s a side on a 2-vCPU host; the rest about 6 s.
 """
 
 from __future__ import annotations
@@ -36,6 +40,13 @@ import sys
 import tempfile
 
 ROADMAP_SCAN = ["scan", "--dmin", "-10000", "--dmax", "10000", "--x", "1e6", "--jobs", "2"]
+
+# (d, x) of the tau-route calls past x = 1e6: odd and even chi, q = 3 to near 1e6.
+TAU_CALLS = [
+    (d, x)
+    for x in ("1e7", "10012345")
+    for d in (-3, 5, -4, 8, -200003, 200009, -999995, 999997)
+]
 
 # Runs a JSON list of argv vectors (stdin) through siegelscan.cli.main in
 # one process and writes a JSON list of {"code", "out"} (stdout) to stdout.
@@ -73,6 +84,9 @@ def named_calls(run) -> list[tuple[str, list[str], str | None]]:
     for d, method, x in run.lvalues_stream(1, 0, 100):
         calls.append((f"lvalues {d} {method} {x}",
                       ["lvalues", "--d", str(d), "--x", x, "--method", method], None))
+    for d, x in TAU_CALLS:
+        calls.append((f"lvalues {d} tau {x}",
+                      ["lvalues", "--d", str(d), "--x", x, "--method", "tau"], None))
     return calls
 
 
