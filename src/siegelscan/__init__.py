@@ -44,8 +44,6 @@ from .lseries import (
     values_up_to,
 )
 from .sieve import (
-    SieveTable,
-    build_sieve,
     divisor_lambda_sum,
     liouville_table,
     primes_upto,

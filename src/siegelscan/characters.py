@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .primes import _ARRAYS, DEFAULT_MAX_WIDTH, factorize
+from .primes import _ARRAYS, DEFAULT_MAX_WIDTH, check_width, factorize
 
 __all__ = [
     "FundamentalDiscriminant",
@@ -177,10 +177,11 @@ def chi_values_up_to(D: FundamentalDiscriminant, x: int) -> np.ndarray:
 
     One np.tile pass over the cached period, cut to length x+1.  The result
     is a fresh writable array: writing into it leaves chi_period(D) as it
-    was.
+    was.  x above primes.DEFAULT_MAX_WIDTH raises CapacityError first.
     """
     if x < 0:
         raise DomainError("x must be nonnegative")
+    check_width("chi table", x)
     return np.tile(chi_period(D), -(-(x + 1) // D.q))[: x + 1]
 
 
@@ -233,10 +234,11 @@ def gauss_expansion_residual(D: FundamentalDiscriminant, n: int) -> float:
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    # gauss_sum first: it refuses q above its 1e6 limit before any table is built
+    tau = gauss_sum(D).value
     q = D.q
     per = chi_period(D).astype(np.float64)
     idx = (np.arange(q, dtype=np.int64) * n) % q
     table = np.exp(2j * np.pi * np.arange(q) / q)
     s = complex(np.sum(per * table[idx]))
-    tau = gauss_sum(D).value
     return abs(chi_eval(D, n) - s / tau)

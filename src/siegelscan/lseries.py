@@ -77,8 +77,8 @@ from typing import Callable
 import numpy as np
 
 from .characters import FundamentalDiscriminant, chi_period, chi_values_up_to
-from .errors import CapacityError, ContractError, DomainError
-from .primes import _ARRAYS, DEFAULT_MAX_WIDTH, primes_upto
+from .errors import ContractError, DomainError
+from .primes import _ARRAYS, check_width, primes_upto
 
 __all__ = [
     "EULER_GAMMA",
@@ -487,12 +487,7 @@ def tau_over_n_sum(D: FundamentalDiscriminant, x: int) -> float:
     """
     if x < 1:
         raise DomainError("x must be >= 1")
-    if x > DEFAULT_MAX_WIDTH:
-        # x as a power of ten: in full it can run to hundreds of digits, and
-        # str() refuses an int of more than 4300 digits.
-        raise CapacityError(
-            f"tau sum length 10^{math.log10(x):.2f} exceeds budget {DEFAULT_MAX_WIDTH}"
-        )
+    check_width("tau sum", x)
     return _chi_weighted_sum(D, _tau_weights(x))
 
 
@@ -729,6 +724,8 @@ def values_up_to(f: MultiplicativeFunc, x: int) -> np.ndarray:
     by then v[m P] = v[m] for the cofactor m < sqrt(x).  So all those n get
     v[n] = v[m] * f(P) by one gather per cofactor m over the big P <= x/m,
     and every value equals that of the loop over all primes bit for bit.
+    x above primes.DEFAULT_MAX_WIDTH raises CapacityError in primes_upto,
+    before anything is allocated.
     """
     if x < 1:
         raise DomainError("x must be >= 1")

@@ -7,11 +7,13 @@ and ``siegelscan.primes_upto`` are this same function.  ``factorize`` serves
 the squarefree test of ``characters.is_fundamental``, the chi tables of
 ``characters`` and the divisor enumeration of ``sieve``.
 
-DEFAULT_MAX_WIDTH caps arrays sized by an argument (sieve tables, chi
-periods, tau weights), RANGE_LIMIT the integers sieved or factorized, and
+DEFAULT_MAX_WIDTH caps arrays sized by an argument (the prime sieve, the
+Liouville table, chi periods and tables, tau weights; check_width raises
+CapacityError past it), RANGE_LIMIT the integers sieved or factorized, and
 _ARRAYS, the one process-wide cache of keyed arrays, the bytes held by the
-chi periods, prime logs, weights, sieve columns and rho base of the modules
-that build them; a table read by prefix is held once (_ArrayCache.prefix).
+chi periods, prime logs, weights, Liouville table and rho base of the
+modules that build them; a table read by prefix is held once
+(_ArrayCache.prefix).
 """
 
 from __future__ import annotations
@@ -23,20 +25,39 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
 __all__ = ["DEFAULT_MAX_WIDTH", "RANGE_LIMIT", "primes_upto", "factorize"]
 
-# Default cap on a single array: 2^26 entries.  build_sieve holds about 18
-# bytes per entry while it runs (tracemalloc peak at 1e6), so ~1.2 GB at 2^26.
-# Desk-scale work tops out at 1e7.
+# Default cap on a single array: 2^26 entries.  The Liouville table is built
+# through values_up_to's float64 table and holds about 9.5 bytes per entry at
+# its peak (tracemalloc: 9.9 MiB at 2^20, 153 MiB at 2^24), so ~610 MiB at
+# 2^26.  Desk-scale work tops out at 1e7.
 DEFAULT_MAX_WIDTH = 1 << 26
 
 RANGE_LIMIT = 1 << 40
 
 
+def check_width(what: str, n: int) -> None:
+    """CapacityError if n, the length an array is sized by, passes DEFAULT_MAX_WIDTH.
+
+    Called before anything is allocated.  n goes into the message as a power
+    of ten: in full it can run to hundreds of digits, and str() refuses an
+    int of more than 4300 digits.
+    """
+    if n > DEFAULT_MAX_WIDTH:
+        raise CapacityError(
+            f"{what} length 10^{math.log10(n):.2f} exceeds budget {DEFAULT_MAX_WIDTH}"
+        )
+
+
 def primes_upto(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array."""
+    """All primes <= n as an int64 array.
+
+    n above DEFAULT_MAX_WIDTH raises CapacityError before the mask of n + 1
+    entries is allocated.
+    """
+    check_width("prime sieve", n)
     if n < 2:
         return np.zeros(0, dtype=np.int64)
     mask = np.ones(n + 1, dtype=bool)
@@ -145,7 +166,7 @@ def _nbytes(value: np.ndarray | tuple[np.ndarray, ...]) -> int:
     return sum(a.nbytes for a in (value if isinstance(value, tuple) else (value,)))
 
 
-# 480 MB: room for the sieve and rho tables of 1e7 (2^24 entries, 160 and
-# 128 MiB) and the tau weights at 1e7 (76 MiB) together.  At 2^26 the tables
-# take 640 and 512 MiB, over the budget, so they are returned but not held.
+# 480 MB: room for the Liouville and rho tables of 1e7 (2^24 entries, 16 and
+# 128 MiB) and the tau weights at 1e7 (76 MiB) together.  At 2^26 the rho
+# table takes 512 MiB, over the budget, so it is returned but not held.
 _ARRAYS = _ArrayCache(3 * 8 * 2 * 10**7)

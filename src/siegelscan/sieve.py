@@ -1,13 +1,13 @@
-"""Arithmetic-function sieve and divisor functionals.
+"""The Liouville table, prime powers and divisor functionals.
 
-For [1, hi] the sieve tabulates Omega(n) (number of prime factors with
-multiplicity, 8-bit), the Liouville sign lambda(n) = (-1)^Omega(n), and the
-prime-power base: p when n = p^k, 0 otherwise.  Every array is indexed by n,
-and entry 0 is 0.  The von Mangoldt value Lambda(n) = log(base) is never
-stored: prime_powers_upto is the one reader of the base column.  shared_sieve
-hands out prefixes of the one table held in primes._ARRAYS.
+The sieve holds one column, the Liouville sign lambda(n) = (-1)^Omega(n) as
+int8 for every n <= hi (entry 0 is 0), built by lseries.values_up_to, the
+package's one evaluator of completely multiplicative functions.
+shared_sieve hands out prefixes of the one table held in primes._ARRAYS.
+prime_powers_upto lists the n = p^k <= hi with Lambda(n) = log p, from the
+primes of primes_upto; Lambda is never tabulated by n.
 
-On top of the sieve sit the divisor functionals used by the analytic checks:
+On top of them sit the divisor functionals used by the analytic checks:
 
     divisor_lambda_sum(m) = sum_{d | m} lambda(d)        (1 iff m is a square)
     rho_u(m, u)           = sum_{d | m, d > u} lambda(d)
@@ -22,19 +22,17 @@ zero table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .characters import FundamentalDiscriminant, chi_period, chi_values_up_to
 from .errors import CapacityError, DomainError
+from .lseries import mf_liouville, values_up_to
 from .primes import _ARRAYS, DEFAULT_MAX_WIDTH, RANGE_LIMIT, factorize, primes_upto
 
 __all__ = [
-    "SieveTable",
     "primes_upto",
-    "build_sieve",
     "shared_sieve",
     "liouville_table",
     "prime_powers_upto",
@@ -48,53 +46,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SieveTable:
-    """Immutable sieve table over [1, hi], indexed by n; entry 0 is 0."""
-
-    hi: int
-    omega: np.ndarray  # uint8
-    lambda_sign: np.ndarray  # int8, +-1
-    pp_base: np.ndarray  # int64, p if n = p^k else 0
-
-
-def build_sieve(hi: int) -> SieveTable:
-    """Sieve [1, hi] using primes up to sqrt(hi).
-
-    Each prime power pk <= hi contributes one slice pass: Omega gains 1 on
-    multiples of pk, and the tracked cofactor is divided by p once per level,
-    so after all passes the cofactor is the part of n built from primes above
-    sqrt(hi) (always 1 or a single prime).  n and the cofactor are int32,
-    which holds every n up to DEFAULT_MAX_WIDTH = 2^26; only the returned
-    base column is int64.  The build holds about 18 bytes per entry at its
-    peak (tracemalloc: 17.5 MiB at hi = 1e6, against 27.7 MiB with int64).
-    """
-    _check_length(hi)
-    ns = np.arange(hi + 1, dtype=np.int32)
-    rem = ns.copy()
-    omega = np.zeros(hi + 1, dtype=np.uint8)
-    ppb = np.zeros(hi + 1, dtype=np.int64)
-
-    for p in primes_upto(math.isqrt(hi)):
-        p = int(p)
-        pk = p
-        while pk <= hi:
-            omega[pk::pk] += 1
-            rem[pk::pk] //= p
-            ppb[pk] = p
-            pk *= p
-
-    omega += rem > 1  # one prime factor above sqrt(hi) survives
-    prime_left = rem == ns
-    prime_left[:2] = False
-    ppb[prime_left] = ns[prime_left]
-    del ns, rem, prime_left  # freed before the Liouville column: a lower peak
-
-    lam = np.where(omega & 1, np.int8(-1), np.int8(1))
-    lam[0] = 0
-    return SieveTable(hi=hi, omega=omega, lambda_sign=lam, pp_base=ppb)
-
-
 def _check_length(hi: int) -> None:
     if not (1 <= hi <= RANGE_LIMIT):
         raise DomainError(f"need 1 <= hi <= 2^40, got {hi}")
@@ -103,38 +54,53 @@ def _check_length(hi: int) -> None:
 
 
 @_ARRAYS.prefix
-def _sieve_columns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(omega, lambda_sign, pp_base) of build_sieve(n), held in primes._ARRAYS."""
-    t = build_sieve(n)
-    return t.omega, t.lambda_sign, t.pp_base
+def _liouville(n: int) -> np.ndarray:
+    """lambda(m) for every m <= n as int8, held in primes._ARRAYS.
+
+    lambda is completely multiplicative with lambda(p) = -1, so values_up_to
+    gives it as float64 +-1.0 (and 0.0 at m = 0), which int8 holds exactly.
+    """
+    return values_up_to(mf_liouville(), n).astype(np.int8)
 
 
-def shared_sieve(hi: int) -> SieveTable:
-    """A table over [1, hi]: prefix views of the one held sieve, which reaches hi.
+def shared_sieve(hi: int) -> np.ndarray:
+    """int8 lambda(n) for 0 <= n <= hi: a prefix view of the one held table.
 
-    hi is checked before anything is built.  The views are read-only: a
-    write raises ValueError instead of changing every later result.  The
-    sieve takes 10 bytes per entry; at 2^26 (640 MiB) it is not held.
+    hi is checked before anything is built.  The view is read-only: a write
+    raises ValueError instead of changing every later result.  The table
+    takes 1 byte per entry, 64 MiB at 2^26.
     """
     _check_length(hi)
-    n = hi + 1
-    omega, lam, ppb = _sieve_columns(hi)
-    return SieveTable(hi, omega[:n], lam[:n], ppb[:n])
+    return _liouville(hi)[: hi + 1]
 
 
 def liouville_table(x: int) -> np.ndarray:
     """int8 array L of length x+1 with L[n] = lambda(n); L[0] = 0.  A copy."""
-    return shared_sieve(x).lambda_sign.copy()
+    return shared_sieve(x).copy()
 
 
 def prime_powers_upto(hi: int) -> tuple[np.ndarray, np.ndarray]:
     """The prime powers n <= hi in ascending order (int64) and Lambda(n).
 
-    Lambda(n) = log p for n = p^k, as np.log of the base prime in float64.
+    The primes come from primes_upto(hi), and the higher powers p^k <= hi
+    of the primes p <= isqrt(hi) are multiplied out in exact integers.
+    Lambda(n) = log p for n = p^k, as np.log of p in float64.
     """
-    base = shared_sieve(hi).pp_base
-    ns = np.nonzero(base)[0]
-    return ns, np.log(base[ns].astype(np.float64))
+    _check_length(hi)
+    ps = primes_upto(hi)
+    p = ps[: int(np.searchsorted(ps, math.isqrt(hi), side="right"))]
+    powers, bases = [ps], [ps]
+    pk = p * p
+    while p.size:
+        # p^k grows with p, so the p with p^k <= hi are a prefix
+        keep = int(np.searchsorted(pk, hi, side="right"))
+        p, pk = p[:keep], pk[:keep]
+        powers.append(pk)
+        bases.append(p)
+        pk = pk * p
+    ns = np.concatenate(powers)
+    order = np.argsort(ns)
+    return ns[order], np.log(np.concatenate(bases)[order].astype(np.float64))
 
 
 def _divisors_with_parity(m: int) -> Iterator[tuple[int, int]]:

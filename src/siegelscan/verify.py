@@ -374,7 +374,7 @@ def verify_rho_swap_and_skeleton(
         return _exact("rho_swap_skeleton", params, 0, 0, 0.0)
     FU = math.floor(u)
 
-    lam = shared_sieve(T).lambda_sign
+    lam = shared_sieve(T)
     ch = chi_values_up_to(D, T)
 
     rho_chi = _rho_table(T, u) * ch
@@ -452,7 +452,7 @@ def _lambda_chi_cumsum(D: FundamentalDiscriminant, X: int) -> np.ndarray:
 @_ARRAYS.prefix
 def _rho_base(n: int) -> np.ndarray:
     """sum_{d | m} lambda(d) for every m <= n, as int64, by divisor accumulation."""
-    return divisor_accumulate(shared_sieve(n).lambda_sign, 1, n)
+    return divisor_accumulate(shared_sieve(n), 1, n)
 
 
 def _rho_table(X: int, u: float) -> np.ndarray:
@@ -468,7 +468,7 @@ def _rho_table(X: int, u: float) -> np.ndarray:
     """
     cut = math.floor(u) + 1
     acc = _rho_base(X)[: X + 1].copy()
-    divisor_accumulate_into(acc, -shared_sieve(X).lambda_sign[:cut], 1, cut)
+    divisor_accumulate_into(acc, -shared_sieve(X)[:cut], 1, cut)
     return acc
 
 

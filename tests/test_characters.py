@@ -250,13 +250,13 @@ def test_array_cache_holds_within_budget(monkeypatch):
         # the suite reads the periods of -3, -4 and -8 next to the scan's arrays
         assert all(r.passed for r in run_suite("corollaries"))
         check_held()
-        # the sieve and rho tables of up to 1e5 entries are rebuilt, not held,
+        # the Liouville and rho tables of up to 1e5 entries are rebuilt, not held,
         # and the reports are those of the full budget
         misses = _ARRAYS.misses.copy()
         assert identities() == full
         check_held()
         built = _ARRAYS.misses - misses
-        for kind in ("_sieve_columns", "_rho_base"):
+        for kind in ("_liouville", "_rho_base"):
             assert built[kind] > full_built[kind] > 0, (built, full_built)
     finally:
         _ARRAYS.clear()
@@ -355,6 +355,19 @@ def test_gauss_expansion_residual_small():
         D = FundamentalDiscriminant(d)
         for n in range(1, 2 * D.q + 1):
             assert gauss_expansion_residual(D, n) < 1e-12, (d, n)
+
+
+def test_gauss_expansion_residual_checks_its_limit_first():
+    # q above gauss_sum's 1e6 limit is refused before the period and the
+    # tables of about 64 bytes per q are built
+    from siegelscan.primes import _ARRAYS
+
+    D = FundamentalDiscriminant(-1000003)
+    characters.drop_period(D)
+    misses = _ARRAYS.misses["_period"]
+    with pytest.raises(DomainError):
+        gauss_expansion_residual(D, 2)
+    assert _ARRAYS.misses["_period"] == misses
 
 
 def test_chi_eval_rejects_nonpositive():

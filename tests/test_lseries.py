@@ -327,12 +327,6 @@ def test_multiplicative_contract():
         values_up_to(mf_one(), 0)
 
 
-def test_values_up_to_liouville_matches_table():
-    vals = values_up_to(mf_liouville(), 2000)
-    lam = liouville_table(2000)
-    assert np.array_equal(vals, lam.astype(np.float64))
-
-
 @pytest.mark.parametrize("d", [-4, -3, 5, -8, 12])
 def test_values_up_to_equals_product_over_factorization(d):
     # f(n) = prod f(p)^e over n = prod p^e, with f(p) from each definition
@@ -1246,13 +1240,13 @@ def test_weight_cache_evicts_by_bytes_and_skips_oversized(monkeypatch):
 
 
 def test_one_array_cache_serves_every_builder():
-    # chi periods, prime logs, the tau weights, the sieve columns and the
+    # chi periods, prime logs, the tau weights, the Liouville table and the
     # rho base share one instance
     builders = [
         characters._period,
         lseries._prime_logs,
         lseries._tau_weights,
-        sieve._sieve_columns,
+        sieve._liouville,
         verify._rho_base,
     ]
     for build in builders:
@@ -1272,8 +1266,8 @@ def test_one_array_cache_serves_every_builder():
 
 
 def test_no_module_holds_arrays_outside_the_cache():
-    # after the sieve and a rho table were read, no siegelscan module keeps an
-    # array (or a container of arrays or sieve tables) in a global of its own
+    # after the Liouville and rho tables were read, no siegelscan module keeps
+    # an array (or a container of arrays) in a global of its own
     verify._rho_table(100, 2.5)
     names = [m.name for m in pkgutil.iter_modules(siegelscan.__path__) if m.name != "__main__"]
     for name in names:
@@ -1282,7 +1276,7 @@ def test_no_module_holds_arrays_outside_the_cache():
             assert not isinstance(value, np.ndarray), (name, attr)
             if isinstance(value, (list, tuple, dict)):
                 items = value.values() if isinstance(value, dict) else value
-                assert not any(isinstance(v, (np.ndarray, sieve.SieveTable)) for v in items), (
+                assert not any(isinstance(v, np.ndarray) for v in items), (
                     name, attr,
                 )
 

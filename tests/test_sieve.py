@@ -13,28 +13,31 @@ from siegelscan import (
     CapacityError,
     DomainError,
     FundamentalDiscriminant,
-    build_sieve,
     chi_eval,
     chi_values_up_to,
     divisor_lambda_sum,
     enumerate_fundamentals,
     liouville_table,
+    mf_liouville,
     primes_upto,
     psi_u,
     rho_u,
     tau_chi,
     tau_chi_table,
+    theta_and_s,
+    values_up_to,
+    verify_mean_variation,
+    verify_theta_decomposition,
 )
 from siegelscan.primes import _ARRAYS, DEFAULT_MAX_WIDTH
-from siegelscan.sieve import SieveTable, divisor_accumulate, prime_powers_upto, shared_sieve
+from siegelscan.sieve import divisor_accumulate, prime_powers_upto, shared_sieve
 
 
 def brute_arith(n):
-    """(Omega, lambda, prime-power base) straight from the factorization."""
+    """(lambda, prime-power base: p when n = p^k, else 0) from the factorization."""
     fac = factorint(n)
-    omega = sum(fac.values())
     base = list(fac)[0] if len(fac) == 1 else 0
-    return omega, (-1) ** omega, base
+    return (-1) ** sum(fac.values()), base
 
 
 def test_one_prime_sieve():
@@ -59,6 +62,9 @@ def test_size_limits_and_factorize_range():
     for m in (0, -7, primes.RANGE_LIMIT + 1):
         with pytest.raises(DomainError):
             primes.factorize(m)
+    # a length past the budget is named as a power of ten, whatever its size
+    with pytest.raises(CapacityError, match=r"prime sieve length 10\^400\.00 exceeds"):
+        primes.primes_upto(10**400)
 
 
 def test_primes_upto_frozen():
@@ -67,23 +73,21 @@ def test_primes_upto_frozen():
     assert primes_upto(2).tolist() == [2]
 
 
-def check_table_against_factorization(t, ns):
-    assert t.omega[0] == 0 and t.lambda_sign[0] == 0 and t.pp_base[0] == 0
-    assert t.omega[1] == 0 and t.lambda_sign[1] == 1 and t.pp_base[1] == 0
+def check_table_against_factorization(lam, ns):
+    assert lam.dtype == np.int8 and lam[0] == 0 and lam[1] == 1
     for n in ns:
-        om, lam, base = brute_arith(n)
-        assert t.omega[n] == om, n
-        assert t.lambda_sign[n] == lam, n
-        assert t.pp_base[n] == base, n
+        assert lam[n] == brute_arith(n)[0], n
 
 
 def test_table_against_factorization_low_range():
-    check_table_against_factorization(build_sieve(500), range(2, 501))
+    for read in (shared_sieve, liouville_table):
+        check_table_against_factorization(read(500), range(2, 501))
 
 
 def test_table_against_factorization_high_segment():
     lo = 10**5
-    check_table_against_factorization(build_sieve(lo + 300), range(lo, lo + 301))
+    for read in (shared_sieve, liouville_table):
+        check_table_against_factorization(read(lo + 300), range(lo, lo + 301))
 
 
 def test_liouville_first_values():
@@ -92,15 +96,16 @@ def test_liouville_first_values():
 
 
 def test_von_mangoldt_points():
-    t = build_sieve(20)
-    assert t.pp_base[8] == 2
-    assert t.pp_base[9] == 3
-    assert t.pp_base[6] == 0
-    assert t.pp_base[7] == 7
+    ns, vm = prime_powers_upto(20)
+    vm_at = dict(zip(ns.tolist(), vm.tolist()))
+    assert vm_at[8] == vm_at[2] == np.log(2.0)
+    assert vm_at[9] == vm_at[3] == np.log(3.0)
+    assert 6 not in vm_at
+    assert vm_at[7] == np.log(7.0)
 
 
 @pytest.mark.parametrize(
-    "read", [build_sieve, shared_sieve, liouville_table, prime_powers_upto],
+    "read", [shared_sieve, liouville_table, prime_powers_upto],
     ids=lambda f: f.__name__,
 )
 def test_build_sieve_domain_and_capacity(read):
@@ -113,77 +118,103 @@ def test_build_sieve_domain_and_capacity(read):
     assert _ARRAYS.misses == misses
 
 
-def test_shared_prefixes_and_prime_power_reader():
-    ref = build_sieve(300)
+def lambda_by_factorization(hi):
+    return np.array([0] + [brute_arith(n)[0] for n in range(1, hi + 1)], dtype=np.int8)
 
-    def assert_like_ref(t):
-        assert t.hi == 300
-        for col in ("omega", "lambda_sign", "pp_base"):
-            assert np.array_equal(getattr(t, col), getattr(ref, col)), col
+
+def test_shared_prefixes_and_prime_power_reader():
+    ref = lambda_by_factorization(300)
+
+    def assert_like_ref(lam):
+        assert lam.dtype == np.int8 and np.array_equal(lam, ref)
 
     _ARRAYS.clear()  # start from an empty cache, whatever ran before
-    misses = _ARRAYS.misses["_sieve_columns"]
+    misses = _ARRAYS.misses["_liouville"]
     shared_sieve(2000)
     assert_like_ref(shared_sieve(300))
     shared_sieve(5000)
     # one held table: 300 reads the table of 2000, and 5000 replaces it
-    held = {key[1] for key in _ARRAYS._held if key[0] == "_sieve_columns"}
+    held = {key[1] for key in _ARRAYS._held if key[0] == "_liouville"}
     assert held == {8192}
-    assert _ARRAYS.misses["_sieve_columns"] - misses == 2
+    assert _ARRAYS.misses["_liouville"] - misses == 2
     assert_like_ref(shared_sieve(300))
     # every smaller hi reads views of that one table, with no build
     t = shared_sieve(257)
-    assert np.shares_memory(t.omega, _ARRAYS._held[("_sieve_columns", 8192)][0])
-    assert _ARRAYS.misses["_sieve_columns"] - misses == 2
-    assert np.array_equal(shared_sieve(5000).pp_base, build_sieve(5000).pp_base)
+    assert np.shares_memory(t, _ARRAYS._held[("_liouville", 8192)])
+    assert _ARRAYS.misses["_liouville"] - misses == 2
 
     # liouville_table hands out a copy, never a view of the shared table
     lam = liouville_table(300)
     lam[:] = 7
-    assert np.array_equal(shared_sieve(300).lambda_sign, ref.lambda_sign)
+    assert_like_ref(shared_sieve(300))
 
-    for hi in (1, 2, 9, 300, 2000):
-        brute = [(n, p) for n in range(2, hi + 1) if (p := brute_arith(n)[2])]
+
+def test_prime_powers_against_factorization():
+    # hi runs through prime powers (4, 8, 9, 25, 27 ... 1024, 2^17) and
+    # their neighbours, so that p^k = hi and p^k = hi + 1 are both covered
+    top = 2**17
+    brute = [(n, p) for n in range(2, top + 1) if (p := brute_arith(n)[1])]
+    for hi in (1, 2, 3, 4, 7, 8, 9, 24, 25, 26, 127, 128, 1024, 1025, top):
+        want = [(n, p) for n, p in brute if n <= hi]
         ns, vm = prime_powers_upto(hi)
-        assert ns.tolist() == [n for n, _ in brute], hi
-        assert vm.dtype == np.float64
-        assert vm.tolist() == [np.log(np.float64(p)) for _, p in brute], hi
+        assert ns.dtype == np.int64 and vm.dtype == np.float64
+        assert ns.tolist() == [n for n, _ in want], hi
+        assert vm.tolist() == [np.log(np.float64(p)) for _, p in want], hi
 
 
 def test_shared_sieve_is_read_only():
-    ref = build_sieve(300)
-    ns_ref = np.nonzero(ref.pp_base)[0]
-    vm_ref = np.log(ref.pp_base[ns_ref].astype(np.float64))
+    ref = lambda_by_factorization(300)
     _ARRAYS.clear()
     shared_sieve(2000)
-    held = SieveTable(2048, *_ARRAYS._held[("_sieve_columns", 2048)])
-    for t in (shared_sieve(300), shared_sieve(2000), held):
-        for col in ("omega", "lambda_sign", "pp_base"):
-            with pytest.raises(ValueError):
-                getattr(t, col)[2] = 0
-            with pytest.raises(ValueError):
-                getattr(t, col)[:] += 1
-    t = shared_sieve(300)
-    for col in ("omega", "lambda_sign", "pp_base"):
-        assert np.array_equal(getattr(t, col), getattr(ref, col)), col
-    assert np.array_equal(liouville_table(300), ref.lambda_sign)
-    ns, vm = prime_powers_upto(300)
-    assert np.array_equal(ns, ns_ref) and np.array_equal(vm, vm_ref)
+    held = _ARRAYS._held[("_liouville", 2048)]
+    for lam in (shared_sieve(300), shared_sieve(2000), held):
+        with pytest.raises(ValueError):
+            lam[2] = 0
+        with pytest.raises(ValueError):
+            lam[:] += 1
+    assert np.array_equal(shared_sieve(300), ref)
+    assert np.array_equal(liouville_table(300), ref)
 
 
-def test_build_sieve_peak_memory_at_one_million():
-    # n and the cofactor are int32 while the table is built: the peak is
-    # about 17.5 MiB, against 27.7 MiB when both were int64.  20 MiB leaves
-    # 2.5 MiB for numpy's temporaries and is far below the int64 build.
+def test_liouville_build_peak_memory_at_one_million():
+    # lambda at 1e6 is built to 2^20 through values_up_to's float64 table
+    # (8 MiB) and held as int8 (1 MiB): the peak is about 9.9 MiB.  13 MiB
+    # leaves room for numpy's temporaries, and no build that holds a second
+    # column of 8 bytes per entry passes it.
     primes_upto(1000)
+    _ARRAYS.clear()
     tracemalloc.start()
     try:
-        t = build_sieve(10**6)
+        lam = shared_sieve(10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20, peak / 2**20
-    assert t.pp_base.dtype == np.int64 and t.pp_base[999983] == 999983
+    assert peak < 13 * 2**20, peak / 2**20
+    assert _ARRAYS._held[("_liouville", 2**20)].nbytes == _ARRAYS.nbytes == 2**20 + 1
+    assert lam.size == 10**6 + 1 and lam[999983] == -1 and lam[10**6] == 1
+
+
+# Every public entry point that builds an array of length about n, through
+# primes_upto or chi_values_up_to
+LENGTH_N_BUILDERS = {
+    "primes_upto": primes_upto,
+    "chi_values_up_to": lambda n: chi_values_up_to(FundamentalDiscriminant(-4), n),
+    "values_up_to": lambda n: values_up_to(mf_liouville(), n),
+    "theta_and_s": lambda n: theta_and_s(mf_liouville(), n),
+    "tau_chi_table": lambda n: tau_chi_table(FundamentalDiscriminant(5), n),
+    "verify_mean_variation": lambda n: verify_mean_variation(mf_liouville(), n, 2.0),
+    "verify_theta_decomposition": lambda n: verify_theta_decomposition(mf_liouville(), n, 0.5),
+}
+
+
+@pytest.mark.parametrize("n", [DEFAULT_MAX_WIDTH + 1, 10**12], ids=["2^26+1", "1e12"])
+@pytest.mark.parametrize("name", LENGTH_N_BUILDERS)
+def test_length_n_builders_refuse_beyond_budget(name, n):
+    # the guard fires before the length-n array, or any cached table, is built
+    misses = _ARRAYS.misses.copy()
+    with pytest.raises(CapacityError, match=r"length 10\^\d+\.\d\d exceeds budget"):
+        LENGTH_N_BUILDERS[name](n)
+    assert _ARRAYS.misses == misses
 
 
 def test_divisor_lambda_sum_is_square_indicator():
@@ -276,7 +307,7 @@ def test_psi_u_example():
 
 def test_psi_u_brute_force():
     def vm(n):
-        base = brute_arith(n)[2]
+        base = brute_arith(n)[1]
         return math.log(base) if base else 0.0
 
     for d in (-4, 5):

@@ -178,16 +178,16 @@ def test_rho_table_walk_equals_kernel():
 
 def test_suite_all_holds_one_table_per_prefix_builder():
     # a larger request replaces the held table instead of adding one: the
-    # sieve grows through 6 powers of two and the rho base through 5, where
+    # Liouville table grows through 6 powers of two and the rho base through 5, where
     # a table per power of two built them 16 and 13 times
-    prefix_builders = ("_sieve_columns", "_rho_base", "_prime_logs")
+    prefix_builders = ("_liouville", "_rho_base", "_prime_logs")
     _ARRAYS.clear()
     misses = _ARRAYS.misses.copy()
     try:
         reports = verify.run_suite("all", two_var_cases=50, swap_cases=100)
         assert all(r.passed for r in reports)
         built = _ARRAYS.misses - misses
-        assert built["_sieve_columns"] <= 6 and built["_rho_base"] <= 5, built
+        assert built["_liouville"] <= 6 and built["_rho_base"] <= 5, built
         for name in prefix_builders:
             assert sum(key[0] == name for key in _ARRAYS._held) <= 1, name
     finally:
