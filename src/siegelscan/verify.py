@@ -49,7 +49,7 @@ from .lseries import (
     theta_and_s,
     values_up_to,
 )
-from .primes import _ARRAYS, primes_upto
+from .primes import _ARRAYS, check_width, primes_upto
 from .scan import scan_discriminants
 from .sieve import (
     divisor_accumulate,
@@ -518,8 +518,12 @@ def verify_mean_variation(
 
         (1/x) sum_{n<=x} f(n) - (omega/x) sum_{n<=x/omega} f(n)
 
-    measured against M(x, omega).
+    measured against M(x, omega).  floor(x) past the array budget raises
+    CapacityError before math.sqrt(x) in M can overflow; x below 16 (or nan)
+    is left to M's DomainError.
     """
+    if x >= 16:
+        check_width("prime sieve", math.floor(x))
     env = mean_variation_bound(x, omega)
     X = math.floor(x)
     vals = values_up_to(f, X)
@@ -656,7 +660,8 @@ def verify_theta_decomposition(
         (1/x) sum_{n<=x} f(n) ~ Theta(f, x^eps) (1/x) sum_{m<=x} g(m)
 
     where g is completely multiplicative with g(p) = 1 for p <= x^eps and
-    g(p) = f(p) above.  Envelope eps * exp(s(f, x)).
+    g(p) = f(p) above.  Envelope eps * exp(s(f, x)).  floor(x) past the
+    array budget raises CapacityError before x**eps can overflow.
     """
     if x < 4:
         raise DomainError("need x >= 4")
@@ -665,6 +670,7 @@ def verify_theta_decomposition(
     if eps_exp < math.log(2) / math.log(x):
         raise DomainError("need x^eps >= 2")
     X = math.floor(x)
+    check_width("prime sieve", X)
     cutoff = x**eps_exp
 
     fv = values_up_to(f, X)

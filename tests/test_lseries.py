@@ -961,6 +961,52 @@ def test_odd_integer_sum_equals_the_form_count():
         assert S % q == 0 and lseries._form_count(D.d) == -S // q, D.d
 
 
+# d = -3 and -4 (w = 6 and 4), and fundamental d near the oracle's limit
+# |d| <= 1e6, where the pass over (a, b) runs in three blocks: d = 1 (mod 4),
+# d = -4m (d/4 = 3 mod 4) and d = -8m
+FORM_COUNT_SAMPLE = [-3, -4, -999995, -999991, -999959, -999988, -999924, -999976, -999928]
+
+
+@pytest.mark.parametrize("d", FORM_COUNT_SAMPLE)
+def test_form_count_equals_the_odd_integer_sum_near_the_limit(d):
+    # h(d) = -(w/2)(1/q) sum_{r<q} r chi(r), exactly
+    D = FundamentalDiscriminant(d)
+    w = 6 if d == -3 else 4 if d == -4 else 2
+    S = int(np.sum(np.arange(D.q, dtype=np.int64) * chi_period(D)))
+    assert 2 * D.q * lseries._form_count(d) == -w * S
+
+
+def form_pairs(d):
+    """The pairs (a, b) with a <= sqrt(|d|/3), 0 <= b <= a and b = d (mod 2)."""
+    return sum((a - d % 2) // 2 + 1 for a in range(1, math.isqrt(-d // 3) + 1))
+
+
+# The fundamental d of each parity on either side of the pair count _LEAF:
+# the largest |d| whose pairs fit one block, and the smallest that needs two
+@pytest.mark.parametrize(
+    "d, pairs",
+    [(-390952, 32760), (-390964, 32941), (-393131, 32761), (-393135, 32942)],
+)
+def test_form_count_on_either_side_of_a_block(d, pairs):
+    assert form_pairs(d) == pairs and abs(pairs - lseries._LEAF) < 200
+    assert lseries._form_count(d) == brute_force_h(d), d
+
+
+def test_form_count_holds_blocks_of_at_most_leaf_pairs():
+    # about 83000 pairs at q near 1e6; a pass over all of them at once
+    # would hold about 2.6 MiB of int64 scratch arrays
+    d = -999995
+    assert form_pairs(d) > 2 * lseries._LEAF
+    tracemalloc.start()
+    try:
+        h = lseries._form_count(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == 480
+    assert peak < 6 * 8 * lseries._LEAF, peak / 2**20
+
+
 @pytest.mark.parametrize("K", [10, 11, 32, 1000, 312496, 10**12, 10**300])
 def test_tail_order_is_the_least_that_meets_its_bound(K):
     J = lseries._tail_order(K)

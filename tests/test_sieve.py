@@ -207,8 +207,20 @@ LENGTH_N_BUILDERS = {
 }
 
 
-@pytest.mark.parametrize("n", [DEFAULT_MAX_WIDTH + 1, 10**12], ids=["2^26+1", "1e12"])
-@pytest.mark.parametrize("name", LENGTH_N_BUILDERS)
+# n past float range, for the two entry points that take x as a float
+# expression (sqrt(x), x**eps) before they size an array by floor(x)
+@pytest.mark.parametrize(
+    "name, n",
+    [
+        pytest.param(name, n, id=f"{name}-{n_id}")
+        for name in LENGTH_N_BUILDERS
+        for n, n_id in ((DEFAULT_MAX_WIDTH + 1, "2^26+1"), (10**12, "1e12"))
+    ]
+    + [
+        pytest.param(name, 10**400, id=f"{name}-1e400")
+        for name in ("verify_mean_variation", "verify_theta_decomposition")
+    ],
+)
 def test_length_n_builders_refuse_beyond_budget(name, n):
     # the guard fires before the length-n array, or any cached table, is built
     misses = _ARRAYS.misses.copy()

@@ -22,6 +22,9 @@ writes:
   multiple of the tau weights' block length 2^15, for d of both signs with
   q from 3 to near 1e6 (TAU_CALLS), so that the tau weights are compared
   above the x = 1e6 that the other calls reach.
+- ``lvalues --method class-number`` for d = -3 and -4 (w = 6 and 4), -163,
+  and fundamental d near the oracle's limit |d| <= 1e6 of each kind: d = 1
+  (mod 4), d = -8m and d = -4m with d/4 = 3 (mod 4) (CLASS_NUMBER_CALLS).
 
 Exit 0 when every output is byte-identical, 1 otherwise.  Then stderr
 names every output that differs, in the order of the calls, with its count
@@ -47,6 +50,10 @@ TAU_CALLS = [
     for x in ("1e7", "10012345")
     for d in (-3, 5, -4, 8, -200003, 200009, -999995, 999997)
 ]
+
+# d of the class-number calls; near |d| = 1e6 the oracle counts its forms
+# in three blocks.
+CLASS_NUMBER_CALLS = [-3, -4, -163, -999995, -999976, -999991, -999988]
 
 # Runs a JSON list of argv vectors (stdin) through siegelscan.cli.main in
 # one process and writes a JSON list of {"code", "out"} (stdout) to stdout.
@@ -87,6 +94,9 @@ def named_calls(run) -> list[tuple[str, list[str], str | None]]:
     for d, x in TAU_CALLS:
         calls.append((f"lvalues {d} tau {x}",
                       ["lvalues", "--d", str(d), "--x", x, "--method", "tau"], None))
+    for d in CLASS_NUMBER_CALLS:
+        calls.append((f"lvalues {d} class-number",
+                      ["lvalues", "--d", str(d), "--method", "class-number"], None))
     return calls
 
 
