@@ -155,7 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--d", type=int, required=True)
     pl.add_argument("--x", type=float, default=1e6, help="series truncation")
     pl.add_argument(
-        "--method", choices=("direct", "tau", "class-number"), default="direct"
+        "--method",
+        choices=("direct", "tau", "class-number"),
+        default="direct",
+        help="direct: L(1) truncated at --x; tau: L'(1) by the tau identity at --x; "
+        "class-number: the exact L(1) for d < 0, which ignores --x",
     )
     pl.set_defaults(func=_cmd_lvalues)
 

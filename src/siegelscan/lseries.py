@@ -15,16 +15,22 @@ L(1, chi) truncated at x^2 so its own error stays below that envelope.
 Every bound covers the truncation only, not floating-point rounding (see
 LValueEstimate).
 
-sum_{n<=x} chi(n)/n is grouped into complete periods at every x >= q,
-O(q) work whatever x (_chi_over_n_by_periods).  From x >= _TAYLOR_K q on it
-is L(1, chi) in closed form, minus the periods past K q (x = K q + R) as a
-short Taylor series in r/q with Hurwitz zeta coefficients, plus the literal
-block of the last R terms; below, the K periods and the R terms are summed
-literally, one residue block at a time.  This gives the L(1) at x^2 inside
-the rearranged route and the scan's L(1) at x.  It runs in chunks through
-reused buffers, with numpy as the one runtime dependency, builds no
-length-x array, and states its own rounding bound.  So does the direct
-L'(1) (_chi_log_n_over_n_by_periods), with no closed form to start from.
+Both direct sums are grouped into complete periods at every x >= q, O(q)
+work whatever x.  For L(1) (_chi_over_n_by_periods), from x >= _TAYLOR_K q
+on the sum is L(1, chi) in closed form, minus the periods past K q
+(x = K q + R) as a short Taylor series in r/q with Hurwitz zeta
+coefficients, plus the literal block of the last R terms; below, the K
+periods and the R terms are summed literally, one residue block at a time.
+This gives the L(1) at x^2 inside the rearranged route and the scan's L(1)
+at x.  L'(1) (_chi_log_n_over_n_by_periods) has no closed form to start
+from: at most _TAYLOR_K periods and the last R terms are literal, and the
+periods from _TAYLOR_K q to K q are a Taylor series with Hurwitz zeta and
+zeta' coefficients.  One walker, _walk_periods, runs both: it goes over the
+residues r in chunks through one block of reused buffers, sums each literal
+block with the route's term (1/n or log(n)/n), evaluates the Taylor tail by
+Horner's rule, and hands each chunk to L(1)'s closed form.  numpy is the one
+runtime dependency, no length-x array is built, and each route states its
+own rounding bound.
 
 The tau sum, sum_{n<=x} chi(n) w(n) with w(n) = H(floor(x/n))/n, is the one
 O(x) sum left.  Its weights do not depend on d and are cached per x in the
@@ -72,6 +78,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -115,12 +122,10 @@ class LValueEstimate:
     bound covers the truncation error only.  It does not cover the
     floating-point rounding of the sum, which dominates once the bound is
     below about 1e-15: lvalues --d -4 --x 1e30 prints bound 2.8e-30 for a
-    value 9e-16 away from pi/4.  l_one adds at most 17 eps (log x + 2) of
-    rounding below _TAYLOR_K q, and from there on 4 eps (log q + 4) for odd
-    chi and 4 eps (8 sqrt(q) + log q + 4) for even chi, eps = 2^-52
-    (_chi_over_n_by_periods).  l_one_prime_direct adds at most 17 eps
-    ((log y)^2/2 + log y + 2), y = min(x, _TAYLOR_K q).  The tau-identity
-    bound rests on a calibrated constant, not a proof.
+    value 9e-16 away from pi/4.  The rounding bounds of the direct routes
+    are stated once, in the docstrings of _chi_over_n_by_periods (l_one)
+    and _chi_log_n_over_n_by_periods (l_one_prime_direct).  The
+    tau-identity bound rests on a calibrated constant, not a proof.
     """
 
     value: float
@@ -236,14 +241,16 @@ def _pairwise_leaves(
     return float(np.sum(out))
 
 
-# The Taylor route of _chi_over_n_by_periods needs K >= _TAYLOR_K periods:
-# there _hurwitz_zeta is accurate, and each tail term is at most a tenth of
-# the last.  Below K = 10 it sums the first K periods literally.
+# Both period routes switch on _TAYLOR_K.  L(1)'s Taylor tail needs
+# K >= _TAYLOR_K periods: there _hurwitz_zeta is accurate, and each tail
+# term is at most a tenth of the last; below K = 10 it sums the first K
+# periods literally.  L'(1) sums _TAYLOR_K periods literally and the
+# periods past them, for K > _TAYLOR_K, as a Taylor tail.
 _TAYLOR_K = 10
 
-# Residues per pass of _chi_over_n_by_periods.  Its five float64 buffers
-# (640 KiB) stay in L2, and a chunk's sum of r chi(r), below 2^14 q <= 2^40,
-# is an integer that np.sum adds exactly in float64.
+# Residues per chunk of _walk_periods.  Its five float64 buffers (640 KiB)
+# stay in L2, and a chunk's sum of r chi(r), below 2^14 q <= 2^40, is an
+# integer that np.sum adds exactly in float64.
 _PERIOD_CHUNK = 2**14
 
 # B_2k = N/D for k = 1..10.  _EM_COEF holds B_2k/(2k)!, each rounded once:
@@ -302,6 +309,83 @@ def _tail_order(K: int) -> int:
     return J
 
 
+def _walk_periods(
+    D: FundamentalDiscriminant, blocks: list, coef: list, term: Callable, closed: Callable | None
+) -> tuple[float, float, list]:
+    """The one pass over the residues 0 < r < q of both period routes.
+
+    It goes over r in chunks of _PERIOD_CHUNK, through the four rows of one
+    _aligned_rows block: r, chi(r), v and w.  For each literal block
+    (k, top) it sets v = k q + r for r <= top, lets term(chi, v, w) write
+    the block's terms into w, and sums them.  With Taylor coefficients coef
+    (c_1, ..., c_J) it also sets v = t = r/q and sums chi(r) sum_j c_j t^j
+    by Horner's rule; then closed(lo, r, chi, t, w), unless None, is called
+    on the chunk starting at r = lo, and its values are kept in order.  No
+    length-q float array is made and no BLAS routine runs.  Returns
+    (math.fsum of the tail chunks / q, math.fsum of the literal blocks, the
+    values of closed).
+    """
+    q = D.q
+    per = chi_period(D)
+    m = min(q - 1, _PERIOD_CHUNK)
+    base = np.arange(m, dtype=np.float64)
+    r_buf, chi_buf, v_buf, w_buf = _aligned_rows(4, m)
+    tail, literal, sums = [], [], []
+    for lo in range(1, q, m):
+        n = min(m, q - lo)
+        r, chi, v, w = r_buf[:n], chi_buf[:n], v_buf[:n], w_buf[:n]
+        np.add(base[:n], lo, out=r)
+        np.copyto(chi, per[lo : lo + n])
+        for k, top in blocks:
+            k2 = min(n, top - lo + 1)
+            if k2 > 0:
+                np.add(r[:k2], float(k * q), out=v[:k2])
+                term(chi[:k2], v[:k2], w[:k2])
+                literal.append(float(np.sum(w[:k2])))
+        if not coef:
+            continue
+        np.divide(r, q, out=v)
+        np.multiply(v, coef[-1], out=w)
+        for c in reversed(coef[:-1]):
+            np.add(w, c, out=w)
+            np.multiply(w, v, out=w)
+        np.multiply(w, chi, out=w)
+        tail.append(float(np.sum(w)))
+        if closed is not None:
+            sums.append(closed(lo, r, chi, v, w))
+    return math.fsum(tail) / q, math.fsum(literal), sums
+
+
+def _inv_term(chi: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+    """w = chi(r)/v, the terms of L(1), v = k q + r."""
+    np.divide(chi, v, out=w)
+
+
+def _log_term(chi: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+    """w = chi(r) log(v)/v, the terms of -L'(1), v = k q + r."""
+    np.log(v, out=w)
+    np.multiply(w, chi, out=w)
+    np.divide(w, v, out=w)
+
+
+def _r_chi(lo: int, r: np.ndarray, chi: np.ndarray, t: np.ndarray, w: np.ndarray) -> int:
+    """sum r chi(r) over a chunk, an integer that np.sum adds exactly."""
+    np.multiply(r, chi, out=w)
+    return int(np.sum(w))
+
+
+def _log_sin_chi(
+    half: int, lo: int, r: np.ndarray, chi: np.ndarray, t: np.ndarray, w: np.ndarray
+) -> float:
+    """sum chi(r) log sin(pi r/q) over the r < half of a chunk."""
+    v = w[: max(half - lo, 0)]
+    np.multiply(t[: v.size], math.pi, out=v)
+    np.sin(v, out=v)
+    np.log(v, out=v)
+    np.multiply(v, chi[: v.size], out=v)
+    return float(np.sum(v))
+
+
 def _chi_over_n_by_periods(D: FundamentalDiscriminant, x: int) -> float:
     """sum_{n<=x} chi(n)/n grouped into complete periods, in O(q) work.
 
@@ -321,10 +405,9 @@ def _chi_over_n_by_periods(D: FundamentalDiscriminant, x: int) -> float:
 
     The odd sum is an integer, exact in every chunk.  Below K = _TAYLOR_K
     the first K periods are summed literally, as chi(r)/(k q + r), k < K.
-    One pass goes over r in chunks of _PERIOD_CHUNK through reused buffers
-    and takes the closed form, the Horner evaluation of the tail and the
-    literal blocks together: no length-q float array, no BLAS routine.  The
-    chunk sums are added by math.fsum.
+    _walk_periods takes the literal blocks, the Horner evaluation of the
+    tail and the closed form's chunk sums in one pass; the parts are added
+    by math.fsum.
 
     Rounding (eps = 2^-52, if np.sin and np.log are within 4 ulp): at
     K >= _TAYLOR_K the value is within 4 eps (log q + 4) of the truncated
@@ -333,58 +416,18 @@ def _chi_over_n_by_periods(D: FundamentalDiscriminant, x: int) -> float:
     17 eps (log x + 2).
     """
     q = D.q
-    per = chi_period(D)
     K, R = divmod(x, q)
-    taylor = K >= _TAYLOR_K
-    if taylor:
-        J = _tail_order(K)
-        coef = [(-1) ** (j + 1) * _hurwitz_zeta(j + 1, float(K)) for j in range(1, J + 1)]
-        blocks = [(K, R)]
-    else:
-        blocks = [(k, q - 1) for k in range(K)] + [(K, R)]
+    if K < _TAYLOR_K:
+        return _walk_periods(D, [(k, q - 1) for k in range(K)] + [(K, R)], [], _inv_term, None)[1]
+    coef = [(-1) ** (j + 1) * _hurwitz_zeta(j + 1, float(K)) for j in range(1, _tail_order(K) + 1)]
     odd = D.d < 0
-    half = (q + 1) // 2
-    m = min(q - 1, _PERIOD_CHUNK)
-    base = np.arange(m, dtype=np.float64)
-    r_buf, chi_buf, t_buf, w_buf = _aligned_rows(4, m)
-    closed, tail, literal = [], [], []
-    for lo in range(1, q, m):
-        n = min(m, q - lo)
-        r, chi, t, w = r_buf[:n], chi_buf[:n], t_buf[:n], w_buf[:n]
-        np.add(base[:n], lo, out=r)
-        np.copyto(chi, per[lo : lo + n])
-        for k, top in blocks:
-            k2 = min(n, top - lo + 1)
-            if k2 > 0:
-                np.add(r[:k2], float(k * q), out=w[:k2])
-                np.divide(chi[:k2], w[:k2], out=w[:k2])
-                literal.append(float(np.sum(w[:k2])))
-        if not taylor:
-            continue
-        np.divide(r, q, out=t)
-        np.multiply(t, coef[-1], out=w)
-        for c in reversed(coef[:-1]):
-            np.add(w, c, out=w)
-            np.multiply(w, t, out=w)
-        np.multiply(w, chi, out=w)
-        tail.append(float(np.sum(w)))
-        if odd:
-            np.multiply(r, chi, out=w)
-            closed.append(int(np.sum(w)))
-        elif lo < half:
-            v = w[: min(n, half - lo)]
-            np.multiply(t[: v.size], math.pi, out=v)
-            np.sin(v, out=v)
-            np.log(v, out=v)
-            np.multiply(v, chi[: v.size], out=v)
-            closed.append(float(np.sum(v)))
-    if not taylor:
-        return math.fsum(literal)
+    closed = _r_chi if odd else partial(_log_sin_chi, (q + 1) // 2)
+    tail, literal, sums = _walk_periods(D, [(K, R)], coef, _inv_term, closed)
     if odd:
-        l1 = -math.pi * sum(closed) / (q * math.sqrt(q))
+        l1 = -math.pi * sum(sums) / (q * math.sqrt(q))
     else:
-        l1 = -2.0 * math.fsum(closed) / math.sqrt(q)
-    return math.fsum((l1, math.fsum(tail) / q, math.fsum(literal)))
+        l1 = -2.0 * math.fsum(sums) / math.sqrt(q)
+    return math.fsum((l1, tail, literal))
 
 
 def _chi_log_n_over_n_by_periods(D: FundamentalDiscriminant, x: int) -> float:
@@ -397,47 +440,24 @@ def _chi_log_n_over_n_by_periods(D: FundamentalDiscriminant, x: int) -> float:
     c_j(K), whose term j is at most T^-j [(log(qT) + H_j)(1/T + 1/j) +
     1/j^2]/(j+1): below 2^-60 past J = _tail_order(T) + 1 = 17 terms, for
     q <= 2^26.  The last R terms, and for K <= T all K periods, are literal.
+    Both go through _walk_periods, with no closed form to start from.
     Rounding (eps = 2^-52, np.log within 4 ulp): within 17 eps ((log y)^2/2
     + log y + 2), y = min(x, T q): 17 eps on each literal term, as in
     _chi_over_n_by_periods, and J + 23 eps on the tail, of size (log(Tq) + 2)/16.
     """
     q = D.q
-    per = chi_period(D)
     K, R = divmod(x, q)
+    coef = []
     if K > _TAYLOR_K:
-        T, lq, h, coef = float(_TAYLOR_K), math.log(q), 0.0, []
+        T, lq, h = float(_TAYLOR_K), math.log(q), 0.0
         for j in range(1, _tail_order(_TAYLOR_K) + 2):
             h += 1.0 / j
             z = _hurwitz_zeta(j + 1, T) - _hurwitz_zeta(j + 1, float(K))
             dz = _hurwitz_zeta_ds(j + 1, T) - _hurwitz_zeta_ds(j + 1, float(K))
             coef.append((-1) ** (j + 1) * ((h - lq) * z + dz))
     blocks = [(k, q - 1) for k in range(min(K, _TAYLOR_K))] + [(K, R)]
-    m = min(q - 1, _PERIOD_CHUNK)
-    base = np.arange(m, dtype=np.float64)
-    r_buf, chi_buf, v_buf, w_buf = _aligned_rows(4, m)
-    tail, literal = [], []
-    for lo in range(1, q, m):
-        n = min(m, q - lo)
-        r, chi, v, w = r_buf[:n], chi_buf[:n], v_buf[:n], w_buf[:n]  # v: kq + r, then r/q
-        np.add(base[:n], lo, out=r)
-        np.copyto(chi, per[lo : lo + n])
-        for k, top in blocks:
-            k2 = min(n, top - lo + 1)
-            if k2 > 0:
-                np.add(r[:k2], float(k * q), out=v[:k2])
-                np.log(v[:k2], out=w[:k2])
-                np.multiply(w[:k2], chi[:k2], out=w[:k2])
-                np.divide(w[:k2], v[:k2], out=w[:k2])
-                literal.append(float(np.sum(w[:k2])))
-        if K > _TAYLOR_K:
-            np.divide(r, q, out=v)
-            np.multiply(v, coef[-1], out=w)
-            for c in reversed(coef[:-1]):
-                np.add(w, c, out=w)
-                np.multiply(w, v, out=w)
-            np.multiply(w, chi, out=w)
-            tail.append(float(np.sum(w)))
-    return math.fsum((math.fsum(tail) / q, math.fsum(literal)))
+    tail, literal, _ = _walk_periods(D, blocks, coef, _log_term, None)
+    return math.fsum((tail, literal))
 
 
 def _check_truncation(x: float, q: int) -> None:
@@ -784,8 +804,10 @@ def theta_and_s(f: MultiplicativeFunc, x: float) -> tuple[float, float]:
     are built as arrays with the float operations of a loop over the
     primes, their logs come from math.log1p and math.log, and np.cumsum
     adds them from p = 2 upwards, so both values equal that loop bit for
-    bit (as in euler_p_ratio).
+    bit (as in euler_p_ratio).  x is checked by primes.check_width before it
+    is floored: past the array budget CapacityError, inf or nan DomainError.
     """
+    check_width("prime sieve", x)
     if x < 2:
         return 1.0, 0.0
     ps = primes_upto(math.floor(x))

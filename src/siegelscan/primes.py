@@ -38,13 +38,17 @@ DEFAULT_MAX_WIDTH = 1 << 26
 RANGE_LIMIT = 1 << 40
 
 
-def check_width(what: str, n: int) -> None:
+def check_width(what: str, n: int | float) -> None:
     """CapacityError if n, the length an array is sized by, passes DEFAULT_MAX_WIDTH.
 
-    Called before anything is allocated.  n goes into the message as a power
-    of ten: in full it can run to hundreds of digits, and str() refuses an
-    int of more than 4300 digits.
+    Called before anything is allocated, and before a float n is floored:
+    a float inf or nan raises DomainError.  An int is finite and is never
+    passed to math.isfinite, which overflows past float range.  n goes into
+    the message as a power of ten: in full it can run to hundreds of
+    digits, and str() refuses an int of more than 4300 digits.
     """
+    if isinstance(n, float) and not math.isfinite(n):
+        raise DomainError(f"{what} length must be finite, got {n}")
     if n > DEFAULT_MAX_WIDTH:
         raise CapacityError(
             f"{what} length 10^{math.log10(n):.2f} exceeds budget {DEFAULT_MAX_WIDTH}"

@@ -518,12 +518,11 @@ def verify_mean_variation(
 
         (1/x) sum_{n<=x} f(n) - (omega/x) sum_{n<=x/omega} f(n)
 
-    measured against M(x, omega).  floor(x) past the array budget raises
-    CapacityError before math.sqrt(x) in M can overflow; x below 16 (or nan)
-    is left to M's DomainError.
+    measured against M(x, omega).  x past the array budget raises
+    CapacityError before math.sqrt(x) in M can overflow, and a float inf or
+    nan raises DomainError; x below 16 is left to M's DomainError.
     """
-    if x >= 16:
-        check_width("prime sieve", math.floor(x))
+    check_width("prime sieve", x)
     env = mean_variation_bound(x, omega)
     X = math.floor(x)
     vals = values_up_to(f, X)
@@ -660,9 +659,11 @@ def verify_theta_decomposition(
         (1/x) sum_{n<=x} f(n) ~ Theta(f, x^eps) (1/x) sum_{m<=x} g(m)
 
     where g is completely multiplicative with g(p) = 1 for p <= x^eps and
-    g(p) = f(p) above.  Envelope eps * exp(s(f, x)).  floor(x) past the
-    array budget raises CapacityError before x**eps can overflow.
+    g(p) = f(p) above.  Envelope eps * exp(s(f, x)).  x past the array
+    budget raises CapacityError before x**eps can overflow, and a float inf
+    or nan raises DomainError.
     """
+    check_width("prime sieve", x)
     if x < 4:
         raise DomainError("need x >= 4")
     if not eps_exp < 1:
@@ -670,7 +671,6 @@ def verify_theta_decomposition(
     if eps_exp < math.log(2) / math.log(x):
         raise DomainError("need x^eps >= 2")
     X = math.floor(x)
-    check_width("prime sieve", X)
     cutoff = x**eps_exp
 
     fv = values_up_to(f, X)

@@ -92,6 +92,15 @@ def test_lvalues_direct_json():
     assert abs(obj["value"] - math.pi / 4) <= obj["bound"]
 
 
+def test_lvalues_help_names_the_quantity_of_each_method():
+    code, text = run_main("lvalues", "--help")
+    assert code == 0
+    text = " ".join(text.split())  # argparse wraps help to the terminal width
+    assert "direct: L(1) truncated at --x" in text
+    assert "tau: L'(1) by the tau identity at --x" in text
+    assert "class-number: the exact L(1) for d < 0, which ignores --x" in text
+
+
 def test_lvalues_class_number_json():
     code, text = run_main("lvalues", "--d", "-23", "--method", "class-number")
     assert code == 0

@@ -3,6 +3,8 @@
 import importlib.util
 import pathlib
 
+from siegelscan import FundamentalDiscriminant, l_one_prime_direct
+
 COMPARE_OUTPUTS = pathlib.Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
 
 
@@ -144,3 +146,31 @@ def test_named_calls_include_the_one_row_large_q_scans():
         assert argv[2] == argv[4] and argv[6] == "2.5e5"
     names = [name for name, _, _ in calls]
     assert len(set(names)) == len(names)
+
+
+def test_period_grid_outputs_are_collected():
+    # L(1) and L'(1) by periods at six x per d of the tau calls, from one
+    # period to 1e12; L'(1), which no CLI method prints, as its hex
+    from siegelscan import FundamentalDiscriminant, l_one_prime_direct
+
+    co = load_compare_outputs()
+    root = COMPARE_OUTPUTS.parents[1]
+    argvs = [argv for _, argv, _ in co.named_calls(co.load_perfbench_run(str(root)))]
+    assert len(co.PERIOD_CALLS) == 48
+    for d, x in co.PERIOD_CALLS:
+        assert ["lvalues", "--d", str(d), "--x", x, "--method", "direct"] in argvs
+        assert [co.L_PRIME, str(d), x] in argvs
+    assert {x for d, x in co.PERIOD_CALLS if d == -4} == {
+        "4", "37", "40", "41", "46", "1e12"
+    }
+    calls = [
+        ("L'(1) -4 41", [co.L_PRIME, "-4", "41"], None),
+        ("L'(1) 999997 1e12", [co.L_PRIME, "999997", "1e12"], None),
+        ("L(1) -4 41", ["lvalues", "--d", "-4", "--x", "41"], None),
+    ]
+    out = co.collect(str(root), calls)
+    for name, (_, d, x), _ in calls[:2]:
+        want = l_one_prime_direct(FundamentalDiscriminant(int(d)), float(x)).value.hex()
+        assert out[f"{name}: stdout"] == want + "\n"
+        assert out[f"{name}: exit code"] == "0\n"
+    assert out["L(1) -4 41: stdout"].startswith('{"d": -4, "q": 4, "method": "direct"')

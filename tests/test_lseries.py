@@ -922,6 +922,21 @@ def test_period_route_chunks_stay_within_rounding(monkeypatch):
             D = FundamentalDiscriminant(d)
             for x in (10 * D.q + 5, 10**9):
                 assert_period_route_within_rounding(D, x)
+    # L'(1) over many chunks too: literal periods only, the last period
+    # cut, and the Taylor tail; every x <= LITERAL_REF_MAX, so the reference
+    # is the literal 30-digit sum
+    refs = {}
+    for chunk in (1, 7):
+        monkeypatch.setattr(lseries, "_PERIOD_CHUNK", chunk)
+        for d in (-299, 293, -1007, 1009):
+            D = FundamentalDiscriminant(d)
+            q = D.q
+            for x in (3 * q + 2, 10 * q + 5, 12 * q + 3):
+                assert x <= LITERAL_REF_MAX
+                if (d, x) not in refs:
+                    refs[d, x] = -l_prime_sum_reference(D, x)
+                got = l_one_prime_direct(D, x).value
+                assert abs(got - refs[d, x]) <= l_prime_rounding_bound(D, x), (chunk, d, x)
 
 
 def test_period_route_makes_no_length_q_array():
@@ -1191,8 +1206,9 @@ def test_l_prime_textbook_value_at_1e12():
 
 def test_l_prime_builds_no_length_x_array():
     # the O(x) sum built log(n)/n at x = 1e7 (76 MiB); the period route holds
-    # its O(q) chunk buffers only (640 KiB at q >= 2^14), at any x
-    for d in (-4, 5, -200003):
+    # its O(q) chunk buffers only (640 KiB at q >= 2^14), at any x and over
+    # the 61 chunks of q = 999995
+    for d in (-4, 5, -200003, -999995):
         D = FundamentalDiscriminant(d)
         chi_period(D)
         for x in (10**7, 10**9):

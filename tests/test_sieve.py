@@ -229,6 +229,22 @@ def test_length_n_builders_refuse_beyond_budget(name, n):
     assert _ARRAYS.misses == misses
 
 
+@pytest.mark.parametrize(
+    "name, n",
+    [
+        pytest.param(name, n, id=f"{name}-{n}")
+        for name in LENGTH_N_BUILDERS
+        for n in (math.inf, math.nan)
+    ],
+)
+def test_length_n_builders_refuse_non_finite(name, n):
+    # one check, before any floor and before any cached table is built
+    misses = _ARRAYS.misses.copy()
+    with pytest.raises(DomainError, match="length must be finite"):
+        LENGTH_N_BUILDERS[name](n)
+    assert _ARRAYS.misses == misses
+
+
 def test_divisor_lambda_sum_is_square_indicator():
     for m in range(1, 2000):
         want = 1 if math.isqrt(m) ** 2 == m else 0

@@ -24,7 +24,13 @@ writes:
   above the x = 1e6 that the other calls reach.
 - ``lvalues --method class-number`` for d = -3 and -4 (w = 6 and 4), -163,
   and fundamental d near the oracle's limit |d| <= 1e6 of each kind: d = 1
-  (mod 4), d = -8m and d = -4m with d/4 = 3 (mod 4) (CLASS_NUMBER_CALLS).
+  (mod 4), d = -8m and d = -4m with d/4 = 3 (mod 4) (CLASS_NUMBER_CALLS);
+- L(1) and L'(1) by complete periods for the d of TAU_CALLS at x = q,
+  9q + q//3, 10q, 10q + 1, 11q + 2 and 1e12 (PERIOD_CALLS): one period,
+  literal periods past the first chunk, both sides of the switch to the
+  Taylor tail at 10 periods, and a far x.  L(1) goes through
+  ``lvalues --method direct``; L'(1), which no CLI method prints, is
+  printed as ``l_one_prime_direct(D, x).value.hex()`` by the same process.
 
 Exit 0 when every output is byte-identical, 1 otherwise.  Then stderr
 names every output that differs, in the order of the calls, with its count
@@ -44,30 +50,48 @@ import tempfile
 
 ROADMAP_SCAN = ["scan", "--dmin", "-10000", "--dmax", "10000", "--x", "1e6", "--jobs", "2"]
 
-# (d, x) of the tau-route calls past x = 1e6: odd and even chi, q = 3 to near 1e6.
-TAU_CALLS = [
+# d of odd and even chi, q = 3 to near 1e6.
+TAU_DS = (-3, 5, -4, 8, -200003, 200009, -999995, 999997)
+
+# (d, x) of the tau-route calls past x = 1e6.
+TAU_CALLS = [(d, x) for x in ("1e7", "10012345") for d in TAU_DS]
+
+# (d, x) of the period-route calls, x = K q + R around the switch at 10 periods.
+PERIOD_CALLS = [
     (d, x)
-    for x in ("1e7", "10012345")
-    for d in (-3, 5, -4, 8, -200003, 200009, -999995, 999997)
+    for d in TAU_DS
+    for q in (abs(d),)
+    for x in (str(q), str(9 * q + q // 3), str(10 * q), str(10 * q + 1), str(11 * q + 2), "1e12")
 ]
+
+# The first word of a call that prints l_one_prime_direct(D, x).value.hex()
+# in place of running the CLI.
+L_PRIME = "l_one_prime_direct"
 
 # d of the class-number calls; near |d| = 1e6 the oracle counts its forms
 # in three blocks.
 CLASS_NUMBER_CALLS = [-3, -4, -163, -999995, -999976, -999991, -999988]
 
 # Runs a JSON list of argv vectors (stdin) through siegelscan.cli.main in
-# one process and writes a JSON list of {"code", "out"} (stdout) to stdout.
+# one process and writes a JSON list of {"code", "out"} (stdout) to stdout;
+# an argv [L_PRIME, d, x] prints the hex of L'(1) truncated at x instead.
 _RUNNER = """
 import contextlib, io, json, sys
+from siegelscan import FundamentalDiscriminant, l_one_prime_direct
 from siegelscan.cli import main
 results = []
 for argv in json.load(sys.stdin):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(argv)
+        if argv[0] == %r:
+            D = FundamentalDiscriminant(int(argv[1]))
+            print(l_one_prime_direct(D, float(argv[2])).value.hex())
+            code = 0
+        else:
+            code = main(argv)
     results.append({"code": code, "out": buf.getvalue()})
 json.dump(results, sys.stdout)
-"""
+""" % L_PRIME
 
 
 def load_perfbench_run(root: str):
@@ -97,6 +121,10 @@ def named_calls(run) -> list[tuple[str, list[str], str | None]]:
     for d in CLASS_NUMBER_CALLS:
         calls.append((f"lvalues {d} class-number",
                       ["lvalues", "--d", str(d), "--method", "class-number"], None))
+    for d, x in PERIOD_CALLS:
+        calls.append((f"period L(1) {d} {x}",
+                      ["lvalues", "--d", str(d), "--x", x, "--method", "direct"], None))
+        calls.append((f"period L'(1) {d} {x}", [L_PRIME, str(d), x], None))
     return calls
 
 
