@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .characters import FundamentalDiscriminant
+from .characters import FundamentalDiscriminant, drop_period
 from .errors import CapacityError, DomainError
 from .lseries import class_number_oracle, l_one, l_one_prime_tau
 from .scan import scan_discriminants, write_scan_csv
@@ -104,6 +104,9 @@ def _cmd_lvalues(args: argparse.Namespace) -> int:
         if args.x < D.q:
             raise DomainError("truncation x must be >= |d|")
         est = l_one(D, args.x) if args.method == "direct" else l_one_prime_tau(D, args.x)
+        # One query reads its chi period once: let it go, as the scan does
+        # after each row, so that a stream of queries holds no periods.
+        drop_period(D)
     obj = {
         "d": D.d,
         "q": D.q,

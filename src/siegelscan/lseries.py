@@ -42,9 +42,14 @@ _chi_weighted_sum, sums the products leaf by leaf along the pairwise tree
 that np.sum itself would run over the whole length-x product: each leaf of
 at most 2^15 terms is multiplied into one reused scratch buffer on a cache
 line and summed by np.sum, and the leaf sums are added in the tree's order.
-The value is that of the literal np.sum bit for bit, and no length-x
-product array is made.  The walk is a module-level function, not a closure, so that no
-reference cycle keeps a weight array alive.
+chi comes from a float64 block of 2^15 + q terms, built once per call, only
+where x is at least _BLOCK_REUSE times that and the block is read by several
+leaves (the scan at x >> q); otherwise each leaf copies chi from the held
+int8 period into its buffer, and the kernel's transient stays at 256 KiB
+whatever q.  The value is that of the literal np.sum bit for bit on both
+paths, and no length-x product array is made.  The walk is a module-level
+function, not a closure, so that no reference cycle keeps a weight array
+alive.
 
 The module also carries the product quantities used by the discriminant scan
 
@@ -56,10 +61,10 @@ number formula oracle for d < 0, and the two error functionals eps(x, u) and
 M(x, omega) that appear in measured envelopes.
 
 Both products are sums of logs over the primes p <= q.  The logs
-log1p(-1/p) and log1p(1/p) do not depend on d: _prime_logs holds them with
-the primes in the same cache.  Each product takes chi at the primes from
-chi_period, picks one term per prime by chi(p) in {-1, 0, 1}, and adds the
-terms with np.cumsum, strictly from p = 2 upwards.  The logs come from
+log1p(-1/p) and log1p(1/p) do not depend on d: _prime_logs holds them, and
+primes.held_primes the primes, in the same cache.  Each product takes chi
+at the primes from chi_period, picks one term per prime by chi(p) in
+{-1, 0, 1}, and adds the terms with np.cumsum, strictly from p = 2 upwards.  The logs come from
 math.log1p and the order is that of a loop over the primes, so the values
 equal such a loop bit for bit; np.log1p and the pairwise np.sum would each
 change the last bits.  The class number oracle counts reduced forms (a, b, c)
@@ -85,7 +90,7 @@ import numpy as np
 
 from .characters import FundamentalDiscriminant, chi_period, chi_values_up_to
 from .errors import ContractError, DomainError
-from .primes import _ARRAYS, check_width, primes_upto
+from .primes import _ARRAYS, check_width, held_primes, primes_upto
 
 __all__ = [
     "EULER_GAMMA",
@@ -140,6 +145,15 @@ class LValueEstimate:
 # of _tau_weights and the most pairs in a block of _form_count, whose
 # scratch arrays then stay in L2.
 _LEAF = 2**15
+
+# _chi_weighted_sum builds its float64 chi block of _LEAF + q terms only for
+# x >= _BLOCK_REUSE (q + _LEAF), where the leaves read each of its terms
+# _BLOCK_REUSE times or more on average; below, each leaf copies chi from the
+# int8 period.  Measured on 2 vCPUs (min of 9 calls in one process): at
+# q <= 1e5 the two break even near x = 2-3 (q + _LEAF), and at 4 (q + _LEAF)
+# the copy is 10-28% slower; at q >= 3e5 the block's pages are faulted in on
+# every call, and the copy is 5-40% faster up to 8 (q + _LEAF).
+_BLOCK_REUSE = 4
 
 
 @_ARRAYS
@@ -210,34 +224,73 @@ def _chi_weighted_sum(D: FundamentalDiscriminant, w: np.ndarray) -> float:
     chi into one scratch buffer of _LEAF terms and sums the buffer with
     np.sum, which runs the subtree below that node.  The leaf sums are added
     as Python floats in the order np.sum adds them, so every rounding is the
-    same.  chi(1..) is taken once as a float64 block of _LEAF + q terms (or
-    x, if x is smaller) and read at offset lo % q for a leaf starting at lo.
+    same.
+
+    Where chi comes from is chosen once per call.  For x >= _BLOCK_REUSE
+    (q + _LEAF), chi(1..) is taken once as a float64 block of _LEAF + q
+    terms and read at offset lo % q for a leaf starting at lo
+    (_block_leaf): each leaf reuses it.  Below that, the block would be read
+    fewer times than it costs to build, and each leaf copies chi from the
+    int8 period, wrapping at q, into the scratch buffer itself
+    (_period_leaf); the int8 to float64 cast is exact.  The transient is
+    then the one buffer of min(x, _LEAF) terms, 256 KiB at most, whatever q;
+    the block path adds 8 (_LEAF + q) bytes, at most 8 x / _BLOCK_REUSE.
     """
     x = w.size
     q = D.q
-    chi = chi_values_up_to(D, min(x, _LEAF + q))[1:].astype(np.float64)
-    buf = _aligned_rows(1, min(x, _LEAF))[0]
-    return _pairwise_leaves(w, chi, buf, q, 0, x)
+    if x >= _BLOCK_REUSE * (q + _LEAF):
+        chi = chi_values_up_to(D, _LEAF + q)[1:].astype(np.float64)
+        leaf = partial(_block_leaf, w, chi, _aligned_rows(1, _LEAF)[0], q)
+    else:
+        leaf = partial(_period_leaf, w, chi_period(D), _aligned_rows(1, min(x, _LEAF))[0])
+    return _pairwise_leaves(leaf, 0, x)
 
 
-def _pairwise_leaves(
-    w: np.ndarray, chi: np.ndarray, buf: np.ndarray, q: int, lo: int, n: int
-) -> float:
+def _pairwise_leaves(leaf: Callable, lo: int, n: int) -> float:
     """sum_{lo < m <= lo + n} chi(m) w[m-1] along np.sum's pairwise tree.
 
-    A module-level function on purpose: a recursive closure refers to itself
-    through its own cell, and that cycle would keep w, chi and buf alive
-    until the cyclic garbage collector runs, including a 76 MiB weight array
-    that the weight cache has already let go.
+    leaf(lo, n) sums one node of at most _LEAF terms.  A module-level
+    function on purpose: a recursive closure refers to itself through its
+    own cell, and that cycle would keep w, chi and buf alive until the
+    cyclic garbage collector runs, including a 76 MiB weight array that the
+    weight cache has already let go.
     """
     if n > _LEAF:
         n2 = n // 2 - (n // 2) % 8
-        return _pairwise_leaves(w, chi, buf, q, lo, n2) + _pairwise_leaves(
-            w, chi, buf, q, lo + n2, n - n2
-        )
+        return _pairwise_leaves(leaf, lo, n2) + _pairwise_leaves(leaf, lo + n2, n - n2)
+    return leaf(lo, n)
+
+
+def _block_leaf(
+    w: np.ndarray, chi: np.ndarray, buf: np.ndarray, q: int, lo: int, n: int
+) -> float:
+    """One leaf's sum, chi read from the float64 block chi[i] = chi(i + 1)."""
     off = lo % q
     out = buf[:n]
     np.multiply(w[lo : lo + n], chi[off : off + n], out=out)
+    return float(np.sum(out))
+
+
+def _period_leaf(w: np.ndarray, per: np.ndarray, buf: np.ndarray, lo: int, n: int) -> float:
+    """One leaf's sum, chi(lo + 1..lo + n) copied from the int8 period into buf.
+
+    The copy runs to the end of the period and on from chi(q) = per[0] until
+    buf holds one whole period; past it, buf repeats with period q, so each
+    further copy doubles what is there.
+    """
+    q = per.size
+    out = buf[:n]
+    s = (lo + 1) % q
+    k = min(n, q - s)
+    np.copyto(out[:k], per[s : s + k])
+    if k < n:
+        top = min(n, q)
+        np.copyto(out[k:top], per[: top - k])
+        while top < n:
+            k = min(n, 2 * top)
+            out[top:k] = out[: k - top]
+            top = k
+    np.multiply(out, w[lo : lo + n], out=out)
     return float(np.sum(out))
 
 
@@ -591,20 +644,20 @@ def _form_count(d: int) -> int:
 
 
 @_ARRAYS.prefix
-def _prime_logs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(primes p <= n, log1p(-1/p), log1p(1/p)) as int64 and float64 arrays.
+def _prime_logs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log1p(-1/p), log1p(1/p)) over the primes p <= n, as float64 arrays.
 
     The per-prime table of the Euler products; it does not depend on d.
     One table is held, built to a power of two, and a call for q returns it
-    whenever it reaches q: the callers slice the prefix p <= q.  The logs come
+    whenever it reaches q: the callers slice the prefix p <= q.  The primes
+    are those of primes.held_primes, which holds them once.  The logs come
     from math.log1p, as in a loop over the primes: np.log1p differs from
     it in the last bit for 17 of the 1229 primes below 1e4.
     """
-    ps = primes_upto(n)
-    plist = ps.tolist()
+    plist = held_primes(n).tolist()
     lm = np.array([math.log1p(-1.0 / p) for p in plist], dtype=np.float64)
     lp = np.array([math.log1p(1.0 / p) for p in plist], dtype=np.float64)
-    return ps, lm, lp
+    return lm, lp
 
 
 def _chi_at_primes(D: FundamentalDiscriminant) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -615,9 +668,10 @@ def _chi_at_primes(D: FundamentalDiscriminant) -> tuple[np.ndarray, np.ndarray, 
     """
     per = chi_period(D)
     q = D.q
-    ps, lm, lp = _prime_logs(q)
-    k = int(np.searchsorted(ps, q, side="right"))
-    return per[ps[:k] % q], lm[:k], lp[:k]
+    ps = held_primes(q)
+    lm, lp = _prime_logs(q)
+    k = ps.size
+    return per[ps % q], lm[:k], lp[:k]
 
 
 def euler_p_ratio(D: FundamentalDiscriminant) -> float:

@@ -11,9 +11,10 @@ DEFAULT_MAX_WIDTH caps arrays sized by an argument (the prime sieve, the
 Liouville table, chi periods and tables, tau weights; check_width raises
 CapacityError past it), RANGE_LIMIT the integers sieved or factorized, and
 _ARRAYS, the one process-wide cache of keyed arrays, the bytes held by the
-chi periods, prime logs, weights, Liouville table and rho base of the
-modules that build them; a table read by prefix is held once
-(_ArrayCache.prefix).
+primes, chi periods, prime logs, weights, Liouville table and rho base of
+the modules that build them; a table read by prefix is held once
+(_ArrayCache.prefix).  held_primes serves the primes from one such table,
+so the Euler products and the prime powers of sieve share one sieve.
 """
 
 from __future__ import annotations
@@ -174,3 +175,21 @@ def _nbytes(value: np.ndarray | tuple[np.ndarray, ...]) -> int:
 # 128 MiB) and the tau weights at 1e7 (76 MiB) together.  At 2^26 the rho
 # table takes 512 MiB, over the budget, so it is returned but not held.
 _ARRAYS = _ArrayCache(3 * 8 * 2 * 10**7)
+
+
+@_ARRAYS.prefix
+def _primes(n: int) -> np.ndarray:
+    """primes_upto(n), held as one prefix table of the cache."""
+    return primes_upto(n)
+
+
+def held_primes(n: int) -> np.ndarray:
+    """All primes <= n, a read-only prefix of the one held table of primes.
+
+    The table is sieved by primes_upto to the least power of two >= n, and
+    only when no held table reaches n; n above DEFAULT_MAX_WIDTH raises
+    CapacityError first.
+    """
+    check_width("prime sieve", n)
+    ps = _primes(n)
+    return ps[: int(np.searchsorted(ps, n, side="right"))]

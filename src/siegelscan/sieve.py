@@ -5,7 +5,7 @@ int8 for every n <= hi (entry 0 is 0), built by lseries.values_up_to, the
 package's one evaluator of completely multiplicative functions.
 shared_sieve hands out prefixes of the one table held in primes._ARRAYS.
 prime_powers_upto lists the n = p^k <= hi with Lambda(n) = log p, from the
-primes of primes_upto; Lambda is never tabulated by n.
+primes that primes.held_primes holds; Lambda is never tabulated by n.
 
 On top of them sit the divisor functionals used by the analytic checks:
 
@@ -29,7 +29,9 @@ import numpy as np
 from .characters import FundamentalDiscriminant, chi_period, chi_values_up_to
 from .errors import CapacityError, DomainError
 from .lseries import mf_liouville, values_up_to
-from .primes import _ARRAYS, DEFAULT_MAX_WIDTH, RANGE_LIMIT, factorize, primes_upto
+from .primes import (
+    _ARRAYS, DEFAULT_MAX_WIDTH, RANGE_LIMIT, factorize, held_primes, primes_upto,
+)
 
 __all__ = [
     "primes_upto",
@@ -82,12 +84,13 @@ def liouville_table(x: int) -> np.ndarray:
 def prime_powers_upto(hi: int) -> tuple[np.ndarray, np.ndarray]:
     """The prime powers n <= hi in ascending order (int64) and Lambda(n).
 
-    The primes come from primes_upto(hi), and the higher powers p^k <= hi
-    of the primes p <= isqrt(hi) are multiplied out in exact integers.
+    The primes come from the table that primes.held_primes holds, and the
+    higher powers p^k <= hi of the primes p <= isqrt(hi) are multiplied out
+    in exact integers.
     Lambda(n) = log p for n = p^k, as np.log of p in float64.
     """
     _check_length(hi)
-    ps = primes_upto(hi)
+    ps = held_primes(hi)
     p = ps[: int(np.searchsorted(ps, math.isqrt(hi), side="right"))]
     powers, bases = [ps], [ps]
     pk = p * p

@@ -673,13 +673,12 @@ def verify_theta_decomposition(
     X = math.floor(x)
     cutoff = x**eps_exp
 
-    fv = values_up_to(f, X)
-    lhs = float(np.sum(fv[1:])) / x
+    # each table of x + 1 floats is summed and let go before the next is built
+    lhs = float(np.sum(values_up_to(f, X)[1:])) / x
 
     theta, _ = theta_and_s(f, cutoff)
     _, s_full = theta_and_s(f, x)
-    gv = values_up_to(_smoothed(f, cutoff), X)
-    rhs = theta * float(np.sum(gv[1:])) / x
+    rhs = theta * float(np.sum(values_up_to(_smoothed(f, cutoff), X)[1:])) / x
 
     env = eps_exp * math.exp(s_full)
     params = {"f": f.name, "x": x, "eps": eps_exp, "theta": theta, "s": s_full}

@@ -28,6 +28,8 @@ def runs_of(walls, rows):
 
 
 def test_summary_has_one_line_per_workload_and_metric():
+    # each line ends with both sides' IQR over median next to the bound: the
+    # verify-all change side (0.4) is too wide to judge against 0.25
     bp = load_bench_pairs()
     fast = {
         "parent": runs_of([0.22, 0.23, 0.21, 0.22], [90.0, 88.0, 95.0, 91.0]),
@@ -51,15 +53,19 @@ def test_summary_has_one_line_per_workload_and_metric():
             },
         }
     }
-    assert bp.format_summary(report) == [
+    assert bp.format_summary(report, SPEC) == [
         "scan-large-q failed parent 0/80 -> change 0/80",
         "scan-large-q wall_s: 0.22 -> 0.17 s, wins 4/4, "
-        "gain_claimable true, worse_than_bound false",
+        "gain_claimable true, worse_than_bound false, "
+        "iqr/median 0.0682 -> 0.0882 (bound 0.25)",
         "scan-large-q rows_per_s: 90.5 -> 60.5 1/s, wins 0/4, "
-        "gain_claimable false, worse_than_bound true",
+        "gain_claimable false, worse_than_bound true, "
+        "iqr/median 0.0608 -> 0.0413 (bound 0.25)",
         "verify-all failed parent 0/3 -> change 2/3",
         "verify-all wall_s: 1 -> 1 s, wins 1/3, "
-        "gain_claimable false, worse_than_bound false",
+        "gain_claimable false, worse_than_bound false, "
+        "iqr/median 0.2 -> 0.4 (bound 0.25)",
         "verify-all rows_per_s: 10 -> 10 1/s, wins 1/3, "
-        "gain_claimable false, worse_than_bound false",
+        "gain_claimable false, worse_than_bound false, "
+        "iqr/median 0 -> 0.2 (bound 0.25)",
     ]

@@ -152,6 +152,23 @@ def test_lvalues_tau_json():
     assert obj["bound"] > 0
 
 
+@pytest.mark.parametrize("method", ["direct", "tau"])
+def test_lvalues_holds_no_chi_period(method, capsys):
+    # each query reads its chi period once; a stream of them must not fill
+    # the cache with periods (about 5 MiB over 100 queries up to q = 1e6)
+    from siegelscan.primes import _ARRAYS
+
+    _ARRAYS.clear()  # start from an empty cache, whatever ran before
+    try:
+        for d in (-4, 5, -200003, 999997):
+            x = str(max(abs(d), 10**5))
+            assert main(["lvalues", "--d", str(d), "--x", x, "--method", method]) == 0
+            assert json.loads(capsys.readouterr().out)["d"] == d
+            assert not [key for key in _ARRAYS._held if key[0] == "_period"], (d, method)
+    finally:
+        _ARRAYS.clear()
+
+
 def test_lvalues_non_fundamental_exits_two():
     code, _ = run_main("lvalues", "--d", "9")
     assert code == 2

@@ -174,3 +174,28 @@ def test_period_grid_outputs_are_collected():
         assert out[f"{name}: stdout"] == want + "\n"
         assert out[f"{name}: exit code"] == "0\n"
     assert out["L(1) -4 41: stdout"].startswith('{"d": -4, "q": 4, "method": "direct"')
+
+
+def test_tau_calls_cover_both_sides_of_the_chi_block_switch():
+    # every TAU_CALLS x takes the float64 chi block; SWITCH_TAU_CALLS put d
+    # on both sides of the switch at x = 1e6 and 2.5e5
+    from siegelscan import lseries
+
+    co = load_compare_outputs()
+    run = co.load_perfbench_run(str(COMPARE_OUTPUTS.parents[1]))
+    argvs = [argv for _, argv, _ in co.named_calls(run)]
+    for d, x in co.SWITCH_TAU_CALLS:
+        assert ["lvalues", "--d", str(d), "--x", x, "--method", "tau"] in argvs
+
+    def block(d, x):
+        return float(x) >= lseries._BLOCK_REUSE * (abs(d) + lseries._LEAF)
+
+    assert all(block(d, x) for d, x in co.TAU_CALLS)
+    for x in ("1e6", "2.5e5"):
+        sides = [block(d, x) for d, xx in co.SWITCH_TAU_CALLS if xx == x]
+        assert sides.count(True) == 2 and sides.count(False) == 4, x
+        for sign in (1, -1):
+            qs = [abs(d) for d, xx in co.SWITCH_TAU_CALLS if xx == x and d * sign > 0]
+            below = max(q for q in qs if block(sign * q, x))
+            above = min(q for q in qs if not block(sign * q, x))
+            assert above - below < 10, (x, sign)

@@ -593,6 +593,78 @@ def test_kernel_equals_np_sum_at_large_x():
         _ARRAYS.clear()
 
 
+def record_leaves(monkeypatch):
+    """Wrap both leaf kernels; each call appends (kernel name, buffer offset mod 64)."""
+    seen = []
+    for name in ("_block_leaf", "_period_leaf"):
+        kernel = getattr(lseries, name)
+
+        def recording(*args, _kernel=kernel, _name=name):
+            seen.append((_name, args[2].ctypes.data % 64))  # (w, chi, buf, ...)
+            return _kernel(*args)
+
+        monkeypatch.setattr(lseries, name, recording)
+    return seen
+
+
+def switch_discriminants(x):
+    """The fundamental d of both signs nearest the block switch at x, on each side."""
+    top = x // lseries._BLOCK_REUSE - lseries._LEAF  # the largest q on the block path
+    below = [d for d in range(top - 60, top + 1) if characters.is_fundamental(d)][-1:]
+    below += [d for d in range(-top, -top + 60) if characters.is_fundamental(d)][:1]
+    above = [d for d in range(top + 1, top + 60) if characters.is_fundamental(d)][:1]
+    above += [d for d in range(-top - 60, -top) if characters.is_fundamental(d)][-1:]
+    return below, above
+
+
+def test_tau_sum_equals_np_sum_on_both_chi_paths(monkeypatch):
+    # the float64 chi block (x >= _BLOCK_REUSE (q + _LEAF)) and the per-leaf
+    # copy from the int8 period give the literal np.sum(chi * w) bit for bit
+    seen = record_leaves(monkeypatch)
+    below, above = switch_discriminants(10**6)
+    cases = [(d, 10**6, "_block_leaf") for d in below]
+    cases += [(d, 10**6, "_period_leaf") for d in above + [-999995, 999997]]
+    cases += [(d, 250_000, "_period_leaf") for d in (-200003, 200009)]
+    # x = q, with q up to past _LEAF; x = 1000 < _LEAF, where at q = 3 the one
+    # leaf repeats the period 333 times; and x on both sides of the switch at q = 3
+    for d in (-3, 5, -4, -163, 293, -32771, 32773):
+        cases.append((d, abs(d), "_period_leaf"))
+    cases += [(d, 1000, "_period_leaf") for d in (-3, 5, -4, 8, -299, 293)]
+    cases += [(-3, lseries._BLOCK_REUSE * (3 + lseries._LEAF), "_block_leaf")]
+    cases += [(-3, lseries._BLOCK_REUSE * (3 + lseries._LEAF) - 1, "_period_leaf")]
+    try:
+        for d, x, path in cases:
+            D = FundamentalDiscriminant(d)
+            assert D.q <= x
+            w = lseries._tau_weights(x)
+            want = float(np.sum(chi_values_up_to(D, x)[1:].astype(np.float64) * w))
+            seen.clear()
+            assert tau_over_n_sum(D, x) == want, (d, x)
+            assert {name for name, _ in seen} == {path}, (d, x)
+    finally:
+        _ARRAYS.clear()
+
+
+def test_tau_sum_at_q_near_one_million_holds_no_chi_block():
+    # the float64 chi block of 2^15 + q terms (8 MB here) is not built below
+    # the switch; the one leaf buffer of 2^15 floats (256 KiB) is the transient
+    x = 10**6
+    lseries._tau_weights(x)
+    try:
+        for d in (-999995, 999997):
+            D = FundamentalDiscriminant(d)
+            chi_period(D)
+            tracemalloc.start()
+            try:
+                tau_over_n_sum(D, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (d, peak)
+    finally:
+        _ARRAYS.clear()
+
+
 @pytest.mark.parametrize("d", [-3, 5, -299, 293])
 def test_kernel_makes_no_length_x_array(d):
     D = FundamentalDiscriminant(d)
@@ -1222,20 +1294,17 @@ def test_l_prime_builds_no_length_x_array():
 
 
 def test_kernel_scratch_buffers_start_on_a_cache_line(monkeypatch):
-    # numpy aligns to 16 bytes only; the kernels run slower off a cache line
-    offsets = []
-    walk = lseries._pairwise_leaves
-
-    def recording(w, chi, buf, *args):
-        offsets.append(buf.ctypes.data % 64)
-        return walk(w, chi, buf, *args)
-
-    monkeypatch.setattr(lseries, "_pairwise_leaves", recording)
+    # numpy aligns to 16 bytes only; the kernels run slower off a cache line.
+    # Both chi paths take their one buffer from _aligned_rows
+    seen = record_leaves(monkeypatch)
     D = FundamentalDiscriminant(-4)
+    paths = set()
     for x in (100, 1000, lseries._LEAF, 10**6):
-        offsets.clear()
+        seen.clear()
         lseries._chi_weighted_sum(D, np.ones(x))
-        assert offsets and set(offsets) == {0}, (x, offsets)
+        assert seen and {off for _, off in seen} == {0}, (x, seen)
+        paths |= {name for name, _ in seen}
+    assert paths == {"_block_leaf", "_period_leaf"}
     # the period passes take their four buffers as rows of one block
     for n in (1, 7, 100, lseries._PERIOD_CHUNK):
         rows = lseries._aligned_rows(4, n)

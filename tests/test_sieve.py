@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import factorint
+from sympy import factorint, primerange
 
 from siegelscan import (
     CapacityError,
@@ -71,6 +71,41 @@ def test_primes_upto_frozen():
     assert primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_upto(1).size == 0
     assert primes_upto(2).tolist() == [2]
+
+
+def test_held_primes_are_sieved_once_for_prime_powers_and_products(monkeypatch):
+    # prime_powers_upto sieved primes_upto(hi) again on every call; the primes
+    # are now one prefix table, shared with the logs of the Euler products
+    from siegelscan import lseries, primes
+
+    sieved = []
+    sieve_once = primes.primes_upto
+    monkeypatch.setattr(primes, "primes_upto", lambda n: sieved.append(n) or sieve_once(n))
+    _ARRAYS.clear()
+    try:
+        for n in (0, 1, 2, 3, 1000, 1024, 1025):
+            held = primes.held_primes(n)
+            assert not held.flags.writeable
+            assert held.tolist() == sieve_once(n).tolist(), n
+        for hi in (1000, 100, 50_000, 3000, 50_000):
+            assert prime_powers_upto(hi)[0].tolist() == prime_powers_by_loop(hi), hi
+        D = FundamentalDiscriminant(-40003)
+        assert lseries.euler_p_ratio(D) == euler_p_ratio_by_loop(D)
+        # one build per power of two that a request passed, none for a prefix
+        assert sieved == [2, 4, 1024, 2048, 65536]
+    finally:
+        _ARRAYS.clear()
+
+
+def prime_powers_by_loop(hi):
+    return [n for n in range(2, hi + 1) if len(factorint(n)) == 1]
+
+
+def euler_p_ratio_by_loop(D):
+    acc = 0.0
+    for p in primerange(2, D.q + 1):
+        acc += math.log1p(-1.0 / p) - math.log1p(chi_eval(D, p) / p)
+    return math.exp(acc)
 
 
 def check_table_against_factorization(lam, ns):

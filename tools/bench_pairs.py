@@ -21,7 +21,9 @@ claimed (at least 9 wins in 10 and a median gap above the parent's
 interquartile range), the failure counts and the stamp line of each side.
 After the last pair, per workload in --out, one line gives the failed and
 attempted operations of each side, and one line per metric gives the parent
-and change medians, the wins, and both verdicts.
+and change medians, the wins, both verdicts, and each side's interquartile
+range as a fraction of its median next to the metric's bound: a spread above
+the bound is too wide to judge a change by.
 """
 
 from __future__ import annotations
@@ -81,8 +83,18 @@ def compare(spec: dict, runs: dict) -> dict:
     return out
 
 
-def format_summary(report: dict) -> list[str]:
-    """Per workload of a BENCH report, its failures and one line per end-to-end metric."""
+def spread(side: dict) -> float:
+    """The interquartile range of one side's values as a fraction of their median."""
+    return (side["q3"] - side["q1"]) / side["median"]
+
+
+def format_summary(report: dict, spec: dict) -> list[str]:
+    """Per workload of a BENCH report, its failures and one line per end-to-end metric.
+
+    Each metric's line ends with both sides' spread (IQR over median) and the
+    metric's bound from spec, so that a series too wide to judge shows as such.
+    """
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     lines = []
     for workload, entry in report["workloads"].items():
         failed, attempted = entry["failed"], entry["attempted"]
@@ -96,7 +108,9 @@ def format_summary(report: dict) -> list[str]:
                 f"{m['change']['median']:.4g} {m['unit']}, "
                 f"wins {m['change_wins']}/{m['pairs']}, "
                 f"gain_claimable {str(m['gain_claimable']).lower()}, "
-                f"worse_than_bound {str(m['worse_than_bound']).lower()}"
+                f"worse_than_bound {str(m['worse_than_bound']).lower()}, "
+                f"iqr/median {spread(m['parent']):.3g} -> {spread(m['change']):.3g} "
+                f"(bound {bounds[name]:g})"
             )
     return lines
 
@@ -146,7 +160,7 @@ def main() -> int:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=1)
             fh.write("\n")
-    print("\n".join(format_summary(report)))
+    print("\n".join(format_summary(report, spec)))
     return 0
 
 

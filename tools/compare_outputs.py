@@ -21,7 +21,9 @@ writes:
 - ``lvalues --method tau`` at x = 1e7 and at x = 10012345, which is not a
   multiple of the tau weights' block length 2^15, for d of both signs with
   q from 3 to near 1e6 (TAU_CALLS), so that the tau weights are compared
-  above the x = 1e6 that the other calls reach.
+  above the x = 1e6 that the other calls reach;
+- ``lvalues --method tau`` at x = 1e6 and 2.5e5 for d on both sides of the
+  tau kernel's switch between its two sources of chi (SWITCH_TAU_CALLS);
 - ``lvalues --method class-number`` for d = -3 and -4 (w = 6 and 4), -163,
   and fundamental d near the oracle's limit |d| <= 1e6 of each kind: d = 1
   (mod 4), d = -8m and d = -4m with d/4 = 3 (mod 4) (CLASS_NUMBER_CALLS);
@@ -55,6 +57,14 @@ TAU_DS = (-3, 5, -4, 8, -200003, 200009, -999995, 999997)
 
 # (d, x) of the tau-route calls past x = 1e6.
 TAU_CALLS = [(d, x) for x in ("1e7", "10012345") for d in TAU_DS]
+
+# (d, x) of tau-route calls on both sides of the tau kernel's switch from a
+# float64 chi block to a per-leaf copy of the int8 period, at q = x/4 - 2^15:
+# the fundamental d of both signs nearest it on each side, and d near 1e6 and
+# 2e5, all of which copy per leaf.  Every TAU_CALLS x is past the switch.
+SWITCH_TAU_CALLS = [
+    (d, "1e6") for d in (217229, -217231, 217237, -217235, -999995, 999997)
+] + [(d, "2.5e5") for d in (29729, -29732, 29733, -29735, -200003, 200009)]
 
 # (d, x) of the period-route calls, x = K q + R around the switch at 10 periods.
 PERIOD_CALLS = [
@@ -115,7 +125,7 @@ def named_calls(run) -> list[tuple[str, list[str], str | None]]:
     for d, method, x in run.lvalues_stream(1, 0, 100):
         calls.append((f"lvalues {d} {method} {x}",
                       ["lvalues", "--d", str(d), "--x", x, "--method", method], None))
-    for d, x in TAU_CALLS:
+    for d, x in TAU_CALLS + SWITCH_TAU_CALLS:
         calls.append((f"lvalues {d} tau {x}",
                       ["lvalues", "--d", str(d), "--x", x, "--method", "tau"], None))
     for d in CLASS_NUMBER_CALLS:
