@@ -119,6 +119,12 @@ def chi_eval(D: FundamentalDiscriminant, n: int) -> int:
     return kronecker_symbol(D.d, n)
 
 
+# The residues r of a Legendre table are squared in blocks of this many, so
+# that the int64 squares take 256 KiB whatever p; a table of fewer entries
+# is tiled to about this length before it is multiplied in.
+_SQUARE_BLOCK = 2**15
+
+
 @_ARRAYS
 def _period(d: int) -> np.ndarray:
     """One period of chi as an int8 array indexed by n mod q.
@@ -129,11 +135,15 @@ def _period(d: int) -> np.ndarray:
     The 2-adic factor (d2|n) has period w and is read off kronecker_symbol.
     Since d_odd = 1 (mod 4), reciprocity gives (d_odd|n) = (n|m) for n >= 1,
     the product of the Legendre symbols (n|p) over the primes p | m.  Each
-    Legendre table marks the squares of 1..(p-1)/2 mod p, which are all the
-    nonzero residues, squared in place so that they take 4 bytes per entry
-    of q.  Every factor is tiled to length q and multiplied in (Cohen,
-    A Course in Computational Algebraic Number Theory, 5.1-5.2; Davenport,
-    Multiplicative Number Theory, ch. 5).
+    Legendre table of p bytes marks the squares of 1..(p-1)/2 mod p, which
+    are all the nonzero residues, squared in int64 blocks of _SQUARE_BLOCK
+    residues.  It is multiplied into the period in place, one run at a
+    time: the table itself, or for p < _SQUARE_BLOCK / 2 the table tiled to
+    a multiple of p near min(q, _SQUARE_BLOCK) entries (Cohen, A Course in
+    Computational Algebraic Number Theory, 5.1-5.2; Davenport,
+    Multiplicative Number Theory, ch. 5).  So the build holds the period, 1
+    byte per entry of q, one Legendre table of at most q bytes and one block
+    of 256 KiB.
     q above DEFAULT_MAX_WIDTH raises CapacityError before any work.
     """
     q = abs(d)
@@ -149,12 +159,17 @@ def _period(d: int) -> np.ndarray:
         vals = np.tile(np.array(two, dtype=np.int8), m)
     for p, _ in factorize(m):
         leg = np.full(p, -1, dtype=np.int8)
-        r = np.arange(1, (p + 1) // 2)
-        r *= r
-        r %= p
-        leg[r] = 1
+        for lo in range(1, (p + 1) // 2, _SQUARE_BLOCK):
+            r = np.arange(lo, min(lo + _SQUARE_BLOCK, (p + 1) // 2), dtype=np.int64)
+            r *= r
+            r %= p
+            leg[r] = 1
         leg[0] = 0
-        vals *= np.tile(leg, q // p)
+        reps = min(q, _SQUARE_BLOCK) // p
+        run = np.tile(leg, reps) if reps > 1 else leg  # a multiple of p entries
+        for lo in range(0, q, run.size):
+            seg = vals[lo : lo + run.size]
+            seg *= run[: seg.size]
     return vals
 
 

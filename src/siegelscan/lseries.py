@@ -74,9 +74,12 @@ Multiplicative functions are completely multiplicative and given by f(p)
 alone, as a callable from an int64 array of primes to float64 values, so
 that f is evaluated once over all primes p <= x.  values_up_to multiplies
 in the primes p <= sqrt(x) by slices and the one prime factor above sqrt(x)
-by one gather per cofactor; theta_and_s builds its terms as arrays and adds
-them from p = 2 upwards by np.cumsum.  Both equal a loop over the primes bit
-for bit.
+by one gather per cofactor, on a float64 table, or with narrow=True (the
+verify checks and the Liouville table) on an int8 table, 1 byte per entry,
+when every f(p) is -1, 0 or 1; its sums are those of the float64 table bit
+for bit.  theta_and_s builds its terms as arrays, maps the logs over blocks
+of _LEAF primes and adds the terms from p = 2 upwards by np.cumsum.  Both
+equal a loop over the primes bit for bit.
 """
 
 from __future__ import annotations
@@ -812,8 +815,17 @@ def mf_char_flip_cutoff(D: FundamentalDiscriminant) -> MultiplicativeFunc:
     )
 
 
-def values_up_to(f: MultiplicativeFunc, x: int) -> np.ndarray:
-    """float64 array v of length x+1 with v[n] = f(n); v[0] = 0, v[1] = 1.
+def values_up_to(f: MultiplicativeFunc, x: int, *, narrow: bool = False) -> np.ndarray:
+    """Array v of length x+1 with v[n] = f(n); v[0] = 0, v[1] = 1.
+
+    The table is float64, 8 bytes per entry, signed zeros included.  With
+    narrow=True, for callers that read only values and sums (the verify
+    checks, the Liouville table), it is int8, 1 byte per entry, when every
+    f(p) is -1, 0 or 1, so that every f(n) is too; otherwise float64.  The
+    int8 table equals the float64 one by ==, and its sum by np.sum (in
+    int64) is the float64 pairwise sum bit for bit: every partial sum of
+    +-1 and 0 is an integer below 2^53, and one that is 0 comes out +0.0
+    when the terms summed start at v[1] = 1.
 
     f is evaluated once, at every prime p <= x.  Each prime p <= sqrt(x)
     takes one slice multiplication per power p^k <= x, skipped when
@@ -829,11 +841,13 @@ def values_up_to(f: MultiplicativeFunc, x: int) -> np.ndarray:
         raise DomainError("x must be >= 1")
     ps = primes_upto(x)
     fp = f.values(ps)
-    vals = np.ones(x + 1, dtype=np.float64)
-    vals[0] = 0.0
+    if narrow and np.all((fp == 0.0) | (np.abs(fp) == 1.0)):
+        fp = fp.astype(np.int8)
+    vals = np.ones(x + 1, dtype=fp.dtype)
+    vals[0] = 0
     k = int(np.searchsorted(ps, math.isqrt(x), side="right"))
     for p, v in zip(ps[:k].tolist(), fp[:k].tolist()):
-        if v == 1.0:
+        if v == 1:
             continue
         pk = p
         while pk <= x:
@@ -858,8 +872,10 @@ def theta_and_s(f: MultiplicativeFunc, x: float) -> tuple[float, float]:
     are built as arrays with the float operations of a loop over the
     primes, their logs come from math.log1p and math.log, and np.cumsum
     adds them from p = 2 upwards, so both values equal that loop bit for
-    bit (as in euler_p_ratio).  x is checked by primes.check_width before it
-    is floored: past the array budget CapacityError, inf or nan DomainError.
+    bit (as in euler_p_ratio).  The logs are mapped over blocks of _LEAF
+    primes into one array of terms, so that no list of pi(x) floats is
+    made.  x is checked by primes.check_width before it is floored: past
+    the array budget CapacityError, inf or nan DomainError.
     """
     check_width("prime sieve", x)
     if x < 2:
@@ -867,9 +883,13 @@ def theta_and_s(f: MultiplicativeFunc, x: float) -> tuple[float, float]:
     ps = primes_upto(math.floor(x))
     fp = f.values(ps)
     pf = ps.astype(np.float64)
+    del ps
     s = float(np.cumsum(np.abs(1.0 - fp) / pf)[-1])
-    local = 1.0 / (1.0 - fp / pf)
-    n = ps.size
-    log_m = np.fromiter(map(math.log1p, (-1.0 / pf).tolist()), np.float64, n)
-    log_local = np.fromiter(map(math.log, local.tolist()), np.float64, n)
-    return math.exp(float(np.cumsum(log_m + log_local)[-1])), s
+    terms = np.empty_like(pf)
+    for lo in range(0, pf.size, _LEAF):
+        b = pf[lo : lo + _LEAF]
+        local = 1.0 / (1.0 - fp[lo : lo + _LEAF] / b)
+        t = terms[lo : lo + b.size]
+        t[:] = np.fromiter(map(math.log1p, (-1.0 / b).tolist()), np.float64, b.size)
+        t += np.fromiter(map(math.log, local.tolist()), np.float64, b.size)
+    return math.exp(float(np.cumsum(terms, out=terms)[-1])), s

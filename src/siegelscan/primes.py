@@ -30,9 +30,10 @@ from .errors import CapacityError, DomainError
 
 __all__ = ["DEFAULT_MAX_WIDTH", "RANGE_LIMIT", "primes_upto", "factorize"]
 
-# Default cap on a single array: 2^26 entries.  The Liouville table is built
-# through values_up_to's float64 table and holds about 9.5 bytes per entry at
-# its peak (tracemalloc: 9.9 MiB at 2^20, 153 MiB at 2^24), so ~610 MiB at
+# Default cap on a single array: 2^26 entries.  The Liouville table is filled
+# in int8 and its build holds about 2.1 bytes per entry at its peak, which is
+# that of primes_upto: the mask of n + 1 bytes and two int64 arrays of the
+# primes (tracemalloc: 2.4 MiB at 2^20, 34.5 MiB at 2^24), so ~140 MiB at
 # 2^26.  Desk-scale work tops out at 1e7.
 DEFAULT_MAX_WIDTH = 1 << 26
 

@@ -1,8 +1,9 @@
 """The Liouville table, prime powers and divisor functionals.
 
 The sieve holds one column, the Liouville sign lambda(n) = (-1)^Omega(n) as
-int8 for every n <= hi (entry 0 is 0), built by lseries.values_up_to, the
-package's one evaluator of completely multiplicative functions.
+int8 for every n <= hi (entry 0 is 0), built by the int8 fill of
+lseries.values_up_to, the package's one evaluator of completely
+multiplicative functions.
 shared_sieve hands out prefixes of the one table held in primes._ARRAYS.
 prime_powers_upto lists the n = p^k <= hi with Lambda(n) = log p, from the
 primes that primes.held_primes holds; Lambda is never tabulated by n.
@@ -59,10 +60,13 @@ def _check_length(hi: int) -> None:
 def _liouville(n: int) -> np.ndarray:
     """lambda(m) for every m <= n as int8, held in primes._ARRAYS.
 
-    lambda is completely multiplicative with lambda(p) = -1, so values_up_to
-    gives it as float64 +-1.0 (and 0.0 at m = 0), which int8 holds exactly.
+    lambda is completely multiplicative with lambda(p) = -1, so
+    values_up_to(..., narrow=True) fills it straight into int8, 1 byte per
+    entry.  The build's peak is that of primes_upto(n), its mask of n + 1
+    bytes and two int64 arrays of the primes: 2.4 MiB at 2^20 and 34.5 MiB
+    at 2^24 (tracemalloc, cold).
     """
-    return values_up_to(mf_liouville(), n).astype(np.int8)
+    return values_up_to(mf_liouville(), n, narrow=True)
 
 
 def shared_sieve(hi: int) -> np.ndarray:

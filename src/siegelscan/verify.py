@@ -440,13 +440,21 @@ def verify_rho_swap_and_skeleton(
 # Measured checks
 
 
-def _lambda_chi_cumsum(D: FundamentalDiscriminant, X: int) -> np.ndarray:
-    """P[j] = sum_{n<=j} Lambda(n) chi(n) as a float64 prefix array."""
+def _lambda_chi_cumsum(D: FundamentalDiscriminant, X: int) -> Callable:
+    """P(j) = sum_{n<=j} Lambda(n) chi(n) for 0 <= j <= X, an int or int64 array.
+
+    np.cumsum runs over the prime powers n <= X only, from a leading 0.0,
+    and P(j) is read at the last prime power <= j by np.searchsorted.  A
+    cumsum over a dense table of X + 1 entries would add only +0.0 between
+    the prime powers, and no term log(p) chi(p^k) is -0.0, so every P(j) is
+    the float it gives, bit for bit, at 16 bytes per prime power in place
+    of 8 bytes per integer.
+    """
     ns, vm = prime_powers_upto(X)
-    acc = np.zeros(X + 1, dtype=np.float64)
-    acc[ns] = vm * chi_period(D)[ns % D.q].astype(np.float64)
+    acc = np.zeros(ns.size + 1, dtype=np.float64)
+    np.multiply(vm, chi_period(D)[ns % D.q], out=acc[1:])
     np.cumsum(acc, out=acc)
-    return acc
+    return lambda j: acc[np.searchsorted(ns, j, side="right")]
 
 
 @_ARRAYS.prefix
@@ -480,7 +488,10 @@ def verify_psi_transfer(
         sum_{k^2 u < x, gcd(k, q) = 1} psi_u(x/k^2, chi)
         ~ sum_{u < m <= x/u} rho_u(m) chi(m) psi_u(x/m, chi)
 
-    Envelope (q sqrt(q) + x/sqrt(q) + u^2 sqrt(q)) log^2 x.
+    Envelope (q sqrt(q) + x/sqrt(q) + u^2 sqrt(q)) log^2 x.  psi_u is read
+    from the prefix sums of _lambda_chi_cumsum, which take 16 bytes per
+    prime power <= x (about 1.3 MiB at x = 1e6), not 8 per integer; the
+    rho table takes 8 bytes per entry of x/u.
     """
     q = D.q
     if u < 1 or not x > u:
@@ -497,14 +508,14 @@ def verify_psi_transfer(
     k = 1
     while k * k * u < x:
         if math.gcd(k, q) == 1:
-            lhs += float(P[X // (k * k)] - P[FU])
+            lhs += float(P(X // (k * k)) - P(FU))
         k += 1
 
     M = math.floor(x / u)
     rho = _rho_table(M, u)
     ms = np.arange(FU + 1, M + 1, dtype=np.int64)
     ch = chi_values_up_to(D, M)[ms].astype(np.float64)
-    rhs = float(np.sum(rho[ms] * ch * (P[X // ms] - P[FU])))
+    rhs = float(np.sum(rho[ms] * ch * (P(X // ms) - P(FU))))
 
     env = (q * math.sqrt(q) + x / math.sqrt(q) + u * u * math.sqrt(q)) * math.log(x) ** 2
     params = {"d": D.d, "x": x, "u": u}
@@ -518,14 +529,17 @@ def verify_mean_variation(
 
         (1/x) sum_{n<=x} f(n) - (omega/x) sum_{n<=x/omega} f(n)
 
-    measured against M(x, omega).  x past the array budget raises
-    CapacityError before math.sqrt(x) in M can overflow, and a float inf or
-    nan raises DomainError; x below 16 is left to M's DomainError.
+    measured against M(x, omega).  The values of f come from one table of
+    x + 1 entries, values_up_to(f, x, narrow=True): 1 byte per entry when
+    every f(p) is -1, 0 or 1, 8 otherwise, with the float64 sums bit for
+    bit.  x past the array budget raises CapacityError before math.sqrt(x)
+    in M can overflow, and a float inf or nan raises DomainError; x below
+    16 is left to M's DomainError.
     """
     check_width("prime sieve", x)
     env = mean_variation_bound(x, omega)
     X = math.floor(x)
-    vals = values_up_to(f, X)
+    vals = values_up_to(f, X, narrow=True)
     lhs = float(np.sum(vals[1:])) / x
     rhs = omega * float(np.sum(vals[1 : math.floor(x / omega) + 1])) / x
     params = {"f": f.name, "x": x, "omega": omega}
@@ -659,9 +673,12 @@ def verify_theta_decomposition(
         (1/x) sum_{n<=x} f(n) ~ Theta(f, x^eps) (1/x) sum_{m<=x} g(m)
 
     where g is completely multiplicative with g(p) = 1 for p <= x^eps and
-    g(p) = f(p) above.  Envelope eps * exp(s(f, x)).  x past the array
-    budget raises CapacityError before x**eps can overflow, and a float inf
-    or nan raises DomainError.
+    g(p) = f(p) above.  Envelope eps * exp(s(f, x)).  Each mean sums one
+    table of x + 1 entries, values_up_to(..., narrow=True): 1 byte per
+    entry when the function's values at the primes are -1, 0 or 1, 8
+    otherwise, with the float64 sums bit for bit.  x past the array budget
+    raises CapacityError before x**eps can overflow, and a float inf or nan
+    raises DomainError.
     """
     check_width("prime sieve", x)
     if x < 4:
@@ -673,12 +690,13 @@ def verify_theta_decomposition(
     X = math.floor(x)
     cutoff = x**eps_exp
 
-    # each table of x + 1 floats is summed and let go before the next is built
-    lhs = float(np.sum(values_up_to(f, X)[1:])) / x
+    # each table is summed and let go before the next is built
+    lhs = float(np.sum(values_up_to(f, X, narrow=True)[1:])) / x
 
     theta, _ = theta_and_s(f, cutoff)
     _, s_full = theta_and_s(f, x)
-    rhs = theta * float(np.sum(values_up_to(_smoothed(f, cutoff), X)[1:])) / x
+    smooth = values_up_to(_smoothed(f, cutoff), X, narrow=True)
+    rhs = theta * float(np.sum(smooth[1:])) / x
 
     env = eps_exp * math.exp(s_full)
     params = {"f": f.name, "x": x, "eps": eps_exp, "theta": theta, "s": s_full}
@@ -721,7 +739,9 @@ def verify_psi_chi(D: FundamentalDiscriminant, x: float) -> IdentityReport:
 
     Envelope (L(1,chi) + q^{-1/4}) x log^2 x + x exp(-c sqrt(log x)) + q with
     c = _PNT_C.  At desk scale the envelope dominates the main term, so this
-    asserts residual <= envelope and records the ratio.
+    asserts residual <= envelope and records the ratio.  The sum is read
+    from the prefix sums of _lambda_chi_cumsum, 16 bytes per prime power
+    <= x, not 8 per integer.
     """
     q = D.q
     if not q <= x:
@@ -729,8 +749,7 @@ def verify_psi_chi(D: FundamentalDiscriminant, x: float) -> IdentityReport:
     X = math.floor(x)
     if X > 10**7:
         raise DomainError("psi-chi capped at x <= 1e7")
-    P = _lambda_chi_cumsum(D, X)
-    lhs = float(P[X])
+    lhs = float(_lambda_chi_cumsum(D, X)(X))
     rhs = -x
 
     l1 = l_one(D, _REF_TRUNC)

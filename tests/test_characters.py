@@ -431,6 +431,38 @@ def test_chi_period_equals_per_prime_builder():
         assert np.array_equal(table, per_prime_period(d)), d
 
 
+def test_chi_period_squares_residues_past_one_block():
+    # (p - 1)/2 is one block of squared residues exactly at p = 65537 and one
+    # past it at 65539; at q = 5 * 65539 the table of 5 is multiplied in runs
+    # of 32765 entries, the last of them short
+    block = characters._SQUARE_BLOCK
+    assert (65537 - 1) // 2 == block and (65539 - 1) // 2 == block + 1
+    assert 5 * 65539 % (block // 5 * 5) != 0
+    for d in (65537, -65539, -5 * 65539):
+        table = chi_period(FundamentalDiscriminant(d))
+        assert np.array_equal(table, per_prime_period(d)), d
+
+
+def test_cold_chi_period_holds_no_int64_residue_array():
+    # a cold period at q = 1000003 holds the 1 MiB period, the 1 MiB Legendre
+    # table and one 256 KiB block of squares (about 2.4 MiB); squaring all
+    # (q - 1)/2 residues at once in int64 took 4 MiB more
+    import tracemalloc
+
+    from siegelscan.primes import _ARRAYS
+
+    _ARRAYS.clear()
+    tracemalloc.start()
+    try:
+        table = chi_period(FundamentalDiscriminant(-1000003))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _ARRAYS.clear()
+    assert peak < 4.5 * 2**20, peak / 2**20
+    assert table.size == 1000003 and table[1] == 1 and table[-1] == -1
+
+
 def test_array_cache_prefix_holds_one_table(monkeypatch):
     from siegelscan.primes import _ARRAYS
 

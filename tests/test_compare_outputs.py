@@ -1,9 +1,13 @@
 """The diff logic of the output-identity script, on synthetic outputs."""
 
+import hashlib
 import importlib.util
+import json
 import pathlib
 
-from siegelscan import FundamentalDiscriminant, l_one_prime_direct
+import numpy as np
+
+from siegelscan import FundamentalDiscriminant, is_fundamental, l_one_prime_direct
 
 COMPARE_OUTPUTS = pathlib.Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
 
@@ -199,3 +203,45 @@ def test_tau_calls_cover_both_sides_of_the_chi_block_switch():
             below = max(q for q in qs if block(sign * q, x))
             above = min(q for q in qs if not block(sign * q, x))
             assert above - below < 10, (x, sign)
+
+
+def test_report_and_period_calls_are_collected():
+    # the four checks that sum tables of x + 1 entries, at the 1e7 cap and
+    # for a fractional f, and cold chi periods at large prime q, by hash
+    from siegelscan import MultiplicativeFunc, characters, verify
+    from siegelscan.cli import report_dict
+
+    co = load_compare_outputs()
+    root = COMPARE_OUTPUTS.parents[1]
+    argvs = [argv for _, argv, _ in co.named_calls(co.load_perfbench_run(str(root)))]
+    for args in co.REPORT_CALLS:
+        assert [co.REPORT, *args] in argvs
+    checks = ("verify_theta_decomposition", "verify_mean_variation",
+              "verify_psi_chi", "verify_psi_transfer")
+    assert {args[0] for args in co.REPORT_CALLS} == set(checks)
+    for check in checks:
+        assert any(a[0] == check and a[2] == "1e7" for a in co.REPORT_CALLS), check
+    assert {a[0] for a in co.REPORT_CALLS if a[1] == "halves"} == set(checks[:2])
+    for d in co.PERIOD_SHA_CALLS:
+        assert is_fundamental(d) and [co.PERIOD_SHA, str(d)] in argvs
+
+    calls = [
+        ("psi chi", [co.REPORT, "verify_psi_chi", "-4", "1e4"], None),
+        ("theta", [co.REPORT, "verify_theta_decomposition", "halves", "1e4", "0.3"], None),
+        ("mean", [co.REPORT, "verify_mean_variation", "liouville*chi:-4", "1e4", "5.0"],
+         None),
+        ("period", [co.PERIOD_SHA, "-163"], None),
+    ]
+    out = co.collect(str(root), calls)
+    D = FundamentalDiscriminant(-4)
+    halves = MultiplicativeFunc("halves", lambda ps: np.where(ps % 4 == 1, 0.5, -0.75))
+    want = {
+        "psi chi": verify.verify_psi_chi(D, 1e4),
+        "theta": verify.verify_theta_decomposition(halves, 1e4, 0.3),
+        "mean": verify.verify_mean_variation(verify._mf_named("liouville*chi", -4), 1e4, 5.0),
+    }
+    for name, rep in want.items():
+        assert out[f"{name}: stdout"] == json.dumps(report_dict(rep)) + "\n", name
+        assert out[f"{name}: exit code"] == "0\n"
+    period = characters.chi_period(FundamentalDiscriminant(-163))
+    assert out["period: stdout"] == hashlib.sha256(period.tobytes()).hexdigest() + "\n"

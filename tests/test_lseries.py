@@ -451,6 +451,53 @@ def test_theta_and_s_equals_prime_loop(x):
         assert theta_and_s(f, x) == loop_theta_and_s(f, x), (f.name, x)
 
 
+def integer_valued(f, x):
+    """True iff every f(p), p <= x, is -1, 0 or 1."""
+    return bool(np.isin(f.values(primes_upto(x)), (-1.0, 0.0, 1.0)).all())
+
+
+@pytest.mark.parametrize("x", REFERENCE_XS)
+def test_narrow_values_sum_as_float64_bit_for_bit(x):
+    # an int8 table where every f(p) is -1, 0 or 1, equal to the float64
+    # table by ==, with the same sums as floats; float64 otherwise, bytes equal
+    for f in reference_functions():
+        got, want = values_up_to(f, x, narrow=True), values_up_to(f, x)
+        if integer_valued(f, x):
+            assert got.dtype == np.int8, (f.name, x)
+            assert np.array_equal(got, want), (f.name, x)
+        else:
+            assert got.dtype == np.float64, (f.name, x)
+            assert got.tobytes() == want.tobytes(), (f.name, x)
+        if f.name in ("halves", "damped"):
+            # at x = 1 no prime is evaluated, and the table is [0, 1] for every f
+            assert integer_valued(f, x) == (x == 1), (f.name, x)
+        for stop in (x + 1, x // 2 + 1):
+            a, b = float(np.sum(got[1:stop])), float(np.sum(want[1:stop]))
+            assert a.hex() == b.hex(), (f.name, x, stop)
+
+
+def test_mean_checks_with_fractional_values_keep_the_float64_formula():
+    # the reports' fields against the formulas over values_up_to's table
+    halves, damped = reference_functions()[-2:]
+    for f in (halves, damped, mf_liouville()):
+        x, omega = 1e4, 7.0
+        vals = values_up_to(f, 10**4)
+        rep = verify.verify_mean_variation(f, x, omega)
+        assert rep.lhs.hex() == (float(np.sum(vals[1:])) / x).hex(), f.name
+        rhs = omega * float(np.sum(vals[1 : math.floor(x / omega) + 1])) / x
+        assert rep.rhs.hex() == rhs.hex(), f.name
+
+        eps = 0.3
+        cutoff = x**eps
+        rep = verify.verify_theta_decomposition(f, x, eps)
+        theta, _ = theta_and_s(f, cutoff)
+        _, s_full = theta_and_s(f, x)
+        smooth = values_up_to(_smoothed(f, cutoff), 10**4)
+        assert rep.lhs.hex() == (float(np.sum(vals[1:])) / x).hex(), f.name
+        assert rep.rhs.hex() == (theta * float(np.sum(smooth[1:])) / x).hex(), f.name
+        assert rep.params["theta"] == theta and rep.params["s"] == s_full, f.name
+
+
 def test_multiplicative_values_are_array_valued():
     D = FundamentalDiscriminant(-4)
     ps = primes_upto(50)

@@ -212,10 +212,10 @@ def test_shared_sieve_is_read_only():
 
 
 def test_liouville_build_peak_memory_at_one_million():
-    # lambda at 1e6 is built to 2^20 through values_up_to's float64 table
-    # (8 MiB) and held as int8 (1 MiB): the peak is about 9.9 MiB.  13 MiB
-    # leaves room for numpy's temporaries, and no build that holds a second
-    # column of 8 bytes per entry passes it.
+    # lambda at 1e6 is filled to 2^20 straight into int8 (1 MiB); the peak,
+    # about 2.4 MiB, is that of the prime sieve, its mask and the primes.
+    # 13 MiB leaves room for numpy's temporaries, and no build that holds a
+    # second column of 8 bytes per entry passes it.
     primes_upto(1000)
     _ARRAYS.clear()
     tracemalloc.start()
@@ -227,6 +227,21 @@ def test_liouville_build_peak_memory_at_one_million():
     assert peak < 13 * 2**20, peak / 2**20
     assert _ARRAYS._held[("_liouville", 2**20)].nbytes == _ARRAYS.nbytes == 2**20 + 1
     assert lam.size == 10**6 + 1 and lam[999983] == -1 and lam[10**6] == 1
+
+
+def test_liouville_build_fills_one_byte_per_entry():
+    # a cold build to 2^20 peaks in the prime sieve at about 2.4 MiB and
+    # holds no float64 table of 8 MiB; the bound is 4 MiB
+    _ARRAYS.clear()
+    tracemalloc.start()
+    try:
+        lam = shared_sieve(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _ARRAYS.clear()
+    assert peak < 4 * 2**20, peak / 2**20
+    assert lam.dtype == np.int8
 
 
 # Every public entry point that builds an array of length about n, through

@@ -214,6 +214,52 @@ def test_psi_transfer_smoke():
     assert rep.passed and rep.ratio < 1.0
 
 
+@pytest.mark.parametrize("d", [-3, -4, -7, 5, 8])
+@pytest.mark.parametrize("X", [1, 2, 3, 4, 1000, 10**5])
+def test_lambda_chi_prefix_sums_equal_the_dense_cumsum(d, X):
+    # P(j) read at the prime powers equals np.cumsum of the dense table of
+    # Lambda(n) chi(n), n <= X, at every j, bit for bit
+    D = FundamentalDiscriminant(d)
+    ns, vm = sieve.prime_powers_upto(X)
+    dense = np.zeros(X + 1, dtype=np.float64)
+    dense[ns] = vm * chi_values_up_to(D, X)[ns].astype(np.float64)
+    np.cumsum(dense, out=dense)
+    P = verify._lambda_chi_cumsum(D, X)
+    assert P(np.arange(X + 1)).tobytes() == dense.tobytes()
+    assert P(X).hex() == dense[X].hex() and P(0).hex() == (0.0).hex()
+
+
+# (name, check) of the four checks whose tables of x + 1 entries are held at
+# 1 byte per entry or only at the prime powers
+ONE_MILLION_CHECKS = [
+    ("theta", lambda: verify_theta_decomposition(
+        verify._mf_named("char-flip-cutoff", -4), 1e6, math.log(4) / math.log(1e6))),
+    ("mean variation", lambda: verify_mean_variation(
+        verify._mf_named("liouville*chi", -4), 1e6, 10.0)),
+    ("psi chi", lambda: verify_psi_chi(FundamentalDiscriminant(-4), 1e6)),
+    ("psi transfer", lambda: verify_psi_transfer(
+        FundamentalDiscriminant(-7), 1e6, 10**2.4)),
+]
+
+
+@pytest.mark.parametrize("name, check", ONE_MILLION_CHECKS, ids=[n for n, _ in ONE_MILLION_CHECKS])
+def test_checks_at_one_million_hold_no_float64_table(name, check):
+    # from an empty cache each check peaks at 2.3-3.6 MiB; one float64 table
+    # of x + 1 entries would take 7.6 MiB on its own
+    import tracemalloc
+
+    _ARRAYS.clear()
+    tracemalloc.start()
+    try:
+        rep = check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _ARRAYS.clear()
+    assert peak < 6 * 2**20, (name, peak / 2**20)
+    assert rep.passed, name
+
+
 def test_rho_main_term_domain():
     with pytest.raises(DomainError):
         # u too small: needs 2 sqrt(x) < u^2

@@ -32,12 +32,18 @@ writes:
   literal periods past the first chunk, both sides of the switch to the
   Taylor tail at 10 periods, and a far x.  L(1) goes through
   ``lvalues --method direct``; L'(1), which no CLI method prints, is
-  printed as ``l_one_prime_direct(D, x).value.hex()`` by the same process.
+  printed as ``l_one_prime_direct(D, x).value.hex()`` by the same process;
+- the ``report_dict`` JSON of the four ``verify`` checks that sum tables of
+  x + 1 entries, called in the library at their 1e7 caps, past the 1e6 that
+  ``verify --suite all`` reaches, and for one fractional f, whose table is
+  float64 (REPORT_CALLS);
+- the sha256 of cold ``chi_period`` tables at prime q up to 2^24 and at
+  4p and 8p (PERIOD_SHA_CALLS).
 
 Exit 0 when every output is byte-identical, 1 otherwise.  Then stderr
 names every output that differs, in the order of the calls, with its count
 of differing lines and its first differing line (number and both lines).
-The scan takes about 10 s a side on a 2-vCPU host; the rest about 6 s.
+The scan takes about 10 s a side on a 2-vCPU host; the rest about 8 s.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -78,30 +85,83 @@ PERIOD_CALLS = [
 # in place of running the CLI.
 L_PRIME = "l_one_prime_direct"
 
+# The first word of a call that prints the report_dict JSON of one verify
+# check, called in the library with the arguments after the check's name.
+# An f is named as verify._mf_named names it, with ":d" for a d, or
+# "halves", f(p) = 1/2 or -3/4, whose values are not all -1, 0 or 1.
+REPORT = "report"
+
+# The entries of verify's THETA_GRID, MEAN_VARIATION_GRID, PSI_CHI_GRID and
+# PSI_TRANSFER_GRID moved to x = 1e7, the checks' cap, and halves at 1e6.
+REPORT_CALLS = [
+    ["verify_theta_decomposition", "char-flip-cutoff:-4", "1e7",
+     repr(math.log(4) / math.log(1e7))],
+    ["verify_theta_decomposition", "liouville", "1e7", "0.2"],
+    ["verify_theta_decomposition", "halves", "1e6", "0.2"],
+    ["verify_mean_variation", "liouville*chi:-4", "1e7", "10.0"],
+    ["verify_mean_variation", "liouville", "1e7", "2.0"],
+    ["verify_mean_variation", "halves", "1e6", "3.0"],
+    ["verify_psi_chi", "-4", "1e7"],
+    ["verify_psi_chi", "8", "1e7"],
+    ["verify_psi_transfer", "-7", "1e7", repr(10**2.4)],
+    ["verify_psi_transfer", "-4", "1e7", repr(1e7**0.4)],
+]
+
+# The first word of a call that prints the sha256 of chi_period(d), built
+# cold: the held table, if any, is dropped first.
+PERIOD_SHA = "chi_period_sha256"
+
+# prime q = |d| of both residues mod 4 near 1e6 and up to 2^24, and 4p, 8p
+PERIOD_SHA_CALLS = [-1000003, 1000033, -999983, 4194301, -4194287, 16777213,
+                    -4 * 250013, 8 * 250007]
+
 # d of the class-number calls; near |d| = 1e6 the oracle counts its forms
 # in three blocks.
 CLASS_NUMBER_CALLS = [-3, -4, -163, -999995, -999976, -999991, -999988]
 
 # Runs a JSON list of argv vectors (stdin) through siegelscan.cli.main in
 # one process and writes a JSON list of {"code", "out"} (stdout) to stdout;
-# an argv [L_PRIME, d, x] prints the hex of L'(1) truncated at x instead.
+# an argv [L_PRIME, d, x] prints the hex of L'(1) truncated at x instead,
+# [REPORT, check, *args] a report's JSON and [PERIOD_SHA, d] a period's hash.
 _RUNNER = """
-import contextlib, io, json, sys
-from siegelscan import FundamentalDiscriminant, l_one_prime_direct
-from siegelscan.cli import main
+import contextlib, hashlib, io, json, sys
+import numpy as np
+from siegelscan import FundamentalDiscriminant, MultiplicativeFunc, l_one_prime_direct
+from siegelscan import characters, verify
+from siegelscan.cli import main, report_dict
+
+def mf(spec):
+    name, _, d = spec.partition(":")
+    if name == "halves":
+        return MultiplicativeFunc("halves", lambda ps: np.where(ps %% 4 == 1, 0.5, -0.75))
+    return verify._mf_named(name, int(d) if d else None)
+
 results = []
 for argv in json.load(sys.stdin):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
+        code = 0
         if argv[0] == %r:
             D = FundamentalDiscriminant(int(argv[1]))
             print(l_one_prime_direct(D, float(argv[2])).value.hex())
-            code = 0
+        elif argv[0] == %r:
+            check, first, *rest = argv[1:]
+            if check.startswith("verify_psi"):
+                first = FundamentalDiscriminant(int(first))
+            else:
+                first = mf(first)
+            rep = getattr(verify, check)(first, *map(float, rest))
+            print(json.dumps(report_dict(rep)))
+        elif argv[0] == %r:
+            D = FundamentalDiscriminant(int(argv[1]))
+            characters.drop_period(D)
+            print(hashlib.sha256(characters.chi_period(D).tobytes()).hexdigest())
+            characters.drop_period(D)
         else:
             code = main(argv)
     results.append({"code": code, "out": buf.getvalue()})
 json.dump(results, sys.stdout)
-""" % L_PRIME
+""" % (L_PRIME, REPORT, PERIOD_SHA)
 
 
 def load_perfbench_run(root: str):
@@ -135,6 +195,10 @@ def named_calls(run) -> list[tuple[str, list[str], str | None]]:
         calls.append((f"period L(1) {d} {x}",
                       ["lvalues", "--d", str(d), "--x", x, "--method", "direct"], None))
         calls.append((f"period L'(1) {d} {x}", [L_PRIME, str(d), x], None))
+    for args in REPORT_CALLS:
+        calls.append((" ".join(args[:3]), [REPORT, *args], None))
+    for d in PERIOD_SHA_CALLS:
+        calls.append((f"chi_period sha256 {d}", [PERIOD_SHA, str(d)], None))
     return calls
 
 
