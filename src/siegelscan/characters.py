@@ -233,7 +233,7 @@ def gauss_sum(D: FundamentalDiscriminant) -> GaussSum:
     q = D.q
     if q > 10**6:
         raise DomainError("gauss_sum: modulus above the 1e6 desk limit")
-    per = chi_period(D).astype(np.float64)
+    per = chi_period(D)
     ang = 2.0 * np.pi * np.arange(q, dtype=np.float64) / q
     re = float(np.sum(per * np.cos(ang)))
     im = float(np.sum(per * np.sin(ang)))
@@ -252,7 +252,7 @@ def gauss_expansion_residual(D: FundamentalDiscriminant, n: int) -> float:
     # gauss_sum first: it refuses q above its 1e6 limit before any table is built
     tau = gauss_sum(D).value
     q = D.q
-    per = chi_period(D).astype(np.float64)
+    per = chi_period(D)
     idx = (np.arange(q, dtype=np.int64) * n) % q
     table = np.exp(2j * np.pi * np.arange(q) / q)
     s = complex(np.sum(per * table[idx]))

@@ -71,15 +71,15 @@ change the last bits.  The class number oracle counts reduced forms (a, b, c)
 with one numpy pass over the pairs (a, b), in blocks of at most 2^15 pairs.
 
 Multiplicative functions are completely multiplicative and given by f(p)
-alone, as a callable from an int64 array of primes to float64 values, so
+alone, as a callable from an int64 array of primes to real values, so
 that f is evaluated once over all primes p <= x.  values_up_to multiplies
 in the primes p <= sqrt(x) by slices and the one prime factor above sqrt(x)
-by one gather per cofactor, on a float64 table, or with narrow=True (the
-verify checks and the Liouville table) on an int8 table, 1 byte per entry,
-when every f(p) is -1, 0 or 1; its sums are those of the float64 table bit
-for bit.  theta_and_s builds its terms as arrays, maps the logs over blocks
-of _LEAF primes and adds the terms from p = 2 upwards by np.cumsum.  Both
-equal a loop over the primes bit for bit.
+by one gather per cofactor, on an int8 table, 1 byte per entry, when every
+f(p) is -1, 0 or 1 (the verify checks and the Liouville table), and on a
+float64 table otherwise; an int8 table's sums are those of the float64
+table bit for bit.  theta_and_s builds its terms as arrays, maps the logs
+over blocks of _LEAF primes and adds the terms from p = 2 upwards by
+np.cumsum.  Both equal a loop over the primes bit for bit.
 """
 
 from __future__ import annotations
@@ -766,8 +766,9 @@ class MultiplicativeFunc:
     """A completely multiplicative f, described by its values f(p) at primes.
 
     f(p^k) = f(p)^k, so f(p) alone determines f.  at_prime maps an int64
-    array of primes to their values f(p) as float64 (a float result is
-    broadcast to every prime).  Every value must satisfy |f(p)| <= 1.
+    array of primes to their values f(p), an array of any real dtype or a
+    float broadcast to every prime; values casts them to float64 once.
+    Every value must satisfy |f(p)| <= 1.
     """
 
     name: str
@@ -795,37 +796,36 @@ def mf_liouville() -> MultiplicativeFunc:
 
 
 def mf_liouville_times_chi(D: FundamentalDiscriminant) -> MultiplicativeFunc:
+    """f(p) = -chi(p), negated in the int8 period: f(p) = 0 at p | q is +0.0."""
     per = chi_period(D)
     q = D.q
-    return MultiplicativeFunc(
-        f"liouville*chi[{D.d}]", lambda ps: -per[ps % q].astype(np.float64)
-    )
+    return MultiplicativeFunc(f"liouville*chi[{D.d}]", lambda ps: -per[ps % q])
 
 
 def mf_char_flip_cutoff(D: FundamentalDiscriminant) -> MultiplicativeFunc:
     """f(p) = -chi(p) for p <= q, f(p) = 1 above, completely multiplicative.
 
     The construction whose mean value ties the Liouville-chi sum to P(q).
+    -chi(p) is negated in the int8 period, so f(p) = 0 at p | q is +0.0.
     """
     per = chi_period(D)
     q = D.q
     return MultiplicativeFunc(
         f"char-flip-cutoff[{D.d}]",
-        lambda ps: np.where(ps <= q, -per[ps % q].astype(np.float64), 1.0),
+        lambda ps: np.where(ps <= q, -per[ps % q], 1.0),
     )
 
 
-def values_up_to(f: MultiplicativeFunc, x: int, *, narrow: bool = False) -> np.ndarray:
+def values_up_to(f: MultiplicativeFunc, x: int) -> np.ndarray:
     """Array v of length x+1 with v[n] = f(n); v[0] = 0, v[1] = 1.
 
-    The table is float64, 8 bytes per entry, signed zeros included.  With
-    narrow=True, for callers that read only values and sums (the verify
-    checks, the Liouville table), it is int8, 1 byte per entry, when every
-    f(p) is -1, 0 or 1, so that every f(n) is too; otherwise float64.  The
-    int8 table equals the float64 one by ==, and its sum by np.sum (in
-    int64) is the float64 pairwise sum bit for bit: every partial sum of
-    +-1 and 0 is an integer below 2^53, and one that is 0 comes out +0.0
-    when the terms summed start at v[1] = 1.
+    The table is int8, 1 byte per entry, when every f(p) is -1, 0 or 1, so
+    that every f(n) is too, and float64, 8 bytes per entry, otherwise.  An
+    int8 table equals by == the float64 table that the same fill would
+    make, and its sum by np.sum (in int64) is that table's float64 pairwise
+    sum bit for bit: every partial sum of +-1 and 0 is an integer below
+    2^53, and one that is 0 comes out +0.0 when the terms summed start at
+    v[1] = 1.
 
     f is evaluated once, at every prime p <= x.  Each prime p <= sqrt(x)
     takes one slice multiplication per power p^k <= x, skipped when
@@ -841,7 +841,7 @@ def values_up_to(f: MultiplicativeFunc, x: int, *, narrow: bool = False) -> np.n
         raise DomainError("x must be >= 1")
     ps = primes_upto(x)
     fp = f.values(ps)
-    if narrow and np.all((fp == 0.0) | (np.abs(fp) == 1.0)):
+    if np.all((fp == 0.0) | (np.abs(fp) == 1.0)):
         fp = fp.astype(np.int8)
     vals = np.ones(x + 1, dtype=fp.dtype)
     vals[0] = 0

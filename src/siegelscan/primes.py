@@ -31,10 +31,12 @@ from .errors import CapacityError, DomainError
 __all__ = ["DEFAULT_MAX_WIDTH", "RANGE_LIMIT", "primes_upto", "factorize"]
 
 # Default cap on a single array: 2^26 entries.  The Liouville table is filled
-# in int8 and its build holds about 2.1 bytes per entry at its peak, which is
-# that of primes_upto: the mask of n + 1 bytes and two int64 arrays of the
-# primes (tracemalloc: 2.4 MiB at 2^20, 34.5 MiB at 2^24), so ~140 MiB at
-# 2^26.  Desk-scale work tops out at 1e7.
+# in int8 and its build holds about 2.1 bytes per entry at its peak, in the
+# fill's gather over the primes above sqrt(n): the table, the int64 primes
+# and an int64 index per prime (tracemalloc: 2.4 MiB at 2^20, 34.5 MiB at
+# 2^24, where primes_upto alone, its mask of n + 1 bytes and one int64 array
+# of the primes, peaks at 24.2 MiB), so ~140 MiB at 2^26.  Desk-scale work
+# tops out at 1e7.
 DEFAULT_MAX_WIDTH = 1 << 26
 
 RANGE_LIMIT = 1 << 40
@@ -71,7 +73,7 @@ def primes_upto(n: int) -> np.ndarray:
     for p in range(2, math.isqrt(n) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    return np.flatnonzero(mask)
 
 
 def factorize(m: int) -> list[tuple[int, int]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .characters import FundamentalDiscriminant, drop_period, is_fundamental
 from .errors import CapacityError, DomainError
 from .lseries import euler_p_ratio, l_one, l_one_prime_tau, main_term_product
-from .primes import DEFAULT_MAX_WIDTH, factorize
+from .primes import DEFAULT_MAX_WIDTH, check_width, factorize
 
 __all__ = ["ScanRow", "scan_discriminants", "SCAN_COLUMNS", "write_scan_csv"]
 
@@ -70,7 +70,10 @@ def scan_discriminants(d_lo: int, d_hi: int, x: float, jobs: int = 1) -> list[Sc
     L(1) is the series truncated at x, summed by complete periods
     (lseries.l_one); L'(1) comes from the tau rearrangement at x.  Rows are sorted ascending by
     score (= L1), ties by d, so output is independent of the worker count.
-    A |d| above primes.DEFAULT_MAX_WIDTH raises CapacityError up front.
+    A |d| above primes.DEFAULT_MAX_WIDTH raises CapacityError up front.  So
+    does an x above it once the window holds a fundamental d, since every
+    row's tau sum would refuse it: before the first row and before any
+    worker starts.
     """
     if d_lo > d_hi:
         raise DomainError("need d_lo <= d_hi")
@@ -85,6 +88,8 @@ def scan_discriminants(d_lo: int, d_hi: int, x: float, jobs: int = 1) -> list[Sc
         raise CapacityError(f"chi period length {q_max} exceeds budget {DEFAULT_MAX_WIDTH}")
     X = math.floor(x)
     args = [(d, X) for d in range(d_lo, d_hi + 1) if is_fundamental(d)]
+    if args:
+        check_width("tau sum", X)
     if jobs == 1 or len(args) < 4:
         rows = [_scan_one(a) for a in args]
     else:

@@ -1,9 +1,9 @@
 """The Liouville table, prime powers and divisor functionals.
 
 The sieve holds one column, the Liouville sign lambda(n) = (-1)^Omega(n) as
-int8 for every n <= hi (entry 0 is 0), built by the int8 fill of
-lseries.values_up_to, the package's one evaluator of completely
-multiplicative functions.
+int8 for every n <= hi (entry 0 is 0), built by lseries.values_up_to, the
+package's one evaluator of completely multiplicative functions, which fills
+int8 for a function whose values at the primes are -1, 0 or 1.
 shared_sieve hands out prefixes of the one table held in primes._ARRAYS.
 prime_powers_upto lists the n = p^k <= hi with Lambda(n) = log p, from the
 primes that primes.held_primes holds; Lambda is never tabulated by n.
@@ -61,12 +61,13 @@ def _liouville(n: int) -> np.ndarray:
     """lambda(m) for every m <= n as int8, held in primes._ARRAYS.
 
     lambda is completely multiplicative with lambda(p) = -1, so
-    values_up_to(..., narrow=True) fills it straight into int8, 1 byte per
-    entry.  The build's peak is that of primes_upto(n), its mask of n + 1
-    bytes and two int64 arrays of the primes: 2.4 MiB at 2^20 and 34.5 MiB
-    at 2^24 (tracemalloc, cold).
+    values_up_to fills it straight into int8, 1 byte per entry.  The
+    build's peak is in that fill, at its gather over the primes above
+    sqrt(n): the table, the int64 primes and an int64 index per prime,
+    2.4 MiB at 2^20 and 34.5 MiB at 2^24 (tracemalloc, cold), where
+    primes_upto(n) alone peaks at 1.6 and 24.2 MiB.
     """
-    return values_up_to(mf_liouville(), n, narrow=True)
+    return values_up_to(mf_liouville(), n)
 
 
 def shared_sieve(hi: int) -> np.ndarray:
@@ -107,7 +108,7 @@ def prime_powers_upto(hi: int) -> tuple[np.ndarray, np.ndarray]:
         pk = pk * p
     ns = np.concatenate(powers)
     order = np.argsort(ns)
-    return ns[order], np.log(np.concatenate(bases)[order].astype(np.float64))
+    return ns[order], np.log(np.concatenate(bases)[order])
 
 
 def _divisors_with_parity(m: int) -> Iterator[tuple[int, int]]:
@@ -191,7 +192,7 @@ def divisor_accumulate_into(acc: np.ndarray, w: np.ndarray, lo: int, hi: int) ->
         if v:
             acc[d::d] += v
     ds = np.arange(max(lo, r + 1), hi, dtype=np.int64)
-    wd = w[ds].astype(np.int64)
+    wd = w[ds]
     keep = wd != 0
     ds, wd = ds[keep], wd[keep]
     if ds.size:
@@ -224,5 +225,5 @@ def psi_u(D: FundamentalDiscriminant, z: float, u: float) -> float:
         return 0.0
     ns, vm = prime_powers_upto(hi)
     i = int(np.searchsorted(ns, lo))
-    per = chi_period(D).astype(np.float64)
+    per = chi_period(D)
     return float(np.sum(vm[i:] * per[ns[i:] % D.q]))

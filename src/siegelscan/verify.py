@@ -514,8 +514,8 @@ def verify_psi_transfer(
     M = math.floor(x / u)
     rho = _rho_table(M, u)
     ms = np.arange(FU + 1, M + 1, dtype=np.int64)
-    ch = chi_values_up_to(D, M)[ms].astype(np.float64)
-    rhs = float(np.sum(rho[ms] * ch * (P(X // ms) - P(FU))))
+    ch = chi_values_up_to(D, M)
+    rhs = float(np.sum(rho[FU + 1 :] * ch[FU + 1 :] * (P(X // ms) - P(FU))))
 
     env = (q * math.sqrt(q) + x / math.sqrt(q) + u * u * math.sqrt(q)) * math.log(x) ** 2
     params = {"d": D.d, "x": x, "u": u}
@@ -530,16 +530,15 @@ def verify_mean_variation(
         (1/x) sum_{n<=x} f(n) - (omega/x) sum_{n<=x/omega} f(n)
 
     measured against M(x, omega).  The values of f come from one table of
-    x + 1 entries, values_up_to(f, x, narrow=True): 1 byte per entry when
-    every f(p) is -1, 0 or 1, 8 otherwise, with the float64 sums bit for
-    bit.  x past the array budget raises CapacityError before math.sqrt(x)
+    x + 1 entries, values_up_to(f, x): int8 when every f(p) is -1, 0 or 1,
+    with the float64 sums bit for bit, and float64 otherwise.  x past the array budget raises CapacityError before math.sqrt(x)
     in M can overflow, and a float inf or nan raises DomainError; x below
     16 is left to M's DomainError.
     """
     check_width("prime sieve", x)
     env = mean_variation_bound(x, omega)
     X = math.floor(x)
-    vals = values_up_to(f, X, narrow=True)
+    vals = values_up_to(f, X)
     lhs = float(np.sum(vals[1:])) / x
     rhs = omega * float(np.sum(vals[1 : math.floor(x / omega) + 1])) / x
     params = {"f": f.name, "x": x, "omega": omega}
@@ -569,10 +568,10 @@ def verify_rho_main_term(
 
     rho = _rho_table(M, u)
     ms = np.arange(FU + 1, M + 1, dtype=np.int64)
-    ch = chi_values_up_to(D, M).astype(np.float64)
-    lhs = float(np.sum(rho[ms] * ch[ms] * (x / ms - u)))
-    lam = liouville_table(M).astype(np.float64)
-    s_lam_chi = float(np.sum(lam * ch))
+    ch = chi_values_up_to(D, M)
+    lhs = float(np.sum(rho[FU + 1 :] * ch[FU + 1 :] * (x / ms - u)))
+    # int8 products, summed in int64: the exact integer, as a float
+    s_lam_chi = float(np.sum(liouville_table(M) * ch, dtype=np.int64))
 
     l1 = l_one(D, _REF_TRUNC)
     l1p = l_one_prime_direct(D, _REF_TRUNC)
@@ -645,11 +644,8 @@ def verify_tau_props(D: FundamentalDiscriminant, y: float) -> IdentityReport:
     ps = primes_upto(Y)
     ps = ps[ps > q]
     ch = chi_values_up_to(D, Y)
-    lhs = float(
-        np.sum((1.0 + ch[ps].astype(np.float64)) * np.log(ps.astype(np.float64)) / ps)
-    )
-    ns = np.arange(q + 1, Y + 1, dtype=np.int64)
-    rhs = math.log(y) * float(np.sum(tau[ns] / ns.astype(np.float64)))
+    lhs = float(np.sum((1 + ch[ps]) * np.log(ps) / ps))
+    rhs = math.log(y) * float(np.sum(tau[q + 1 :] / np.arange(q + 1, Y + 1)))
 
     slack = 1e-12 * max(1.0, abs(lhs), abs(rhs))
     violation = max(0.0, lhs - rhs - slack)
@@ -674,9 +670,9 @@ def verify_theta_decomposition(
 
     where g is completely multiplicative with g(p) = 1 for p <= x^eps and
     g(p) = f(p) above.  Envelope eps * exp(s(f, x)).  Each mean sums one
-    table of x + 1 entries, values_up_to(..., narrow=True): 1 byte per
-    entry when the function's values at the primes are -1, 0 or 1, 8
-    otherwise, with the float64 sums bit for bit.  x past the array budget
+    table of x + 1 entries from values_up_to: int8 when the function's
+    values at the primes are -1, 0 or 1, with the float64 sums bit for bit,
+    and float64 otherwise.  x past the array budget
     raises CapacityError before x**eps can overflow, and a float inf or nan
     raises DomainError.
     """
@@ -691,11 +687,11 @@ def verify_theta_decomposition(
     cutoff = x**eps_exp
 
     # each table is summed and let go before the next is built
-    lhs = float(np.sum(values_up_to(f, X, narrow=True)[1:])) / x
+    lhs = float(np.sum(values_up_to(f, X)[1:])) / x
 
     theta, _ = theta_and_s(f, cutoff)
     _, s_full = theta_and_s(f, x)
-    smooth = values_up_to(_smoothed(f, cutoff), X, narrow=True)
+    smooth = values_up_to(_smoothed(f, cutoff), X)
     rhs = theta * float(np.sum(smooth[1:])) / x
 
     env = eps_exp * math.exp(s_full)

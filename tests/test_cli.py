@@ -202,6 +202,28 @@ def test_out_of_capacity_scan_window_is_refused_before_enumeration(capsys, monke
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_scan_past_the_tau_width_is_refused_before_the_first_row(capsys, monkeypatch):
+    # every row's tau sum would refuse x = 1e9: the window is refused before
+    # any row's L(1) is summed and before a worker pool starts
+    def no_row(D, x):
+        raise AssertionError("a row was summed")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr("siegelscan.scan.l_one", no_row)
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
+    with pytest.raises(CapacityError, match=r"^tau sum length 10\^9\.00 exceeds budget"):
+        scan_discriminants(-50, -1, 1e9, jobs=2)
+    argv = ["scan", "--dmin", "-50", "--dmax", "-1", "--x", "1e9", "--jobs", "2"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: tau sum length 10^9.00 exceeds budget 67108864\n"
+    )
+    # a window with no fundamental d has no row to refuse
+    assert scan_discriminants(2, 3, 1e9) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -245,3 +245,59 @@ def test_report_and_period_calls_are_collected():
         assert out[f"{name}: exit code"] == "0\n"
     period = characters.chi_period(FundamentalDiscriminant(-163))
     assert out["period: stdout"] == hashlib.sha256(period.tobytes()).hexdigest() + "\n"
+
+
+def test_library_calls_are_collected():
+    # public functions that no CLI path prints: floats as .hex(), arrays by
+    # sha256, and values_up_to by its sums, whose table's dtype may change
+    from siegelscan import characters, lseries, sieve, verify
+
+    co = load_compare_outputs()
+    root = COMPARE_OUTPUTS.parents[1]
+    argvs = [argv for _, argv, _ in co.named_calls(co.load_perfbench_run(str(root)))]
+    for args in co.LIBRARY_CALLS:
+        assert [co.LIBRARY, *args] in argvs
+    by_name = {}
+    for name, *args in co.LIBRARY_CALLS:
+        by_name.setdefault(name, []).append(args)
+    for name in ("psi_u", "gauss_sum", "gauss_expansion_residual"):
+        signs = {int(args[0]) > 0 for args in by_name[name]}
+        assert signs == {True, False}, name
+    assert by_name["prime_powers_upto"] == [["1e7"]]
+    assert {args[1] for args in by_name["tau_chi_table"]} == {"1e6"}
+    assert len({int(args[0]) > 0 for args in by_name["tau_chi_table"]}) == 2
+    grid_fs = {
+        f"{name}:{d}" if d is not None else name
+        for name, d, *_ in verify.THETA_GRID + verify.MEAN_VARIATION_GRID
+    }
+    assert set(co.GRID_INTEGER_FS) == grid_fs
+    assert sorted(by_name["values_up_to"]) == sorted(
+        [f, x] for f in grid_fs for x in ("1e6", "1e7")
+    )
+
+    calls = [
+        ("psi", [co.LIBRARY, "psi_u", "-4", "1e4", "10.5"], None),
+        ("gauss", [co.LIBRARY, "gauss_sum", "5"], None),
+        ("residual", [co.LIBRARY, "gauss_expansion_residual", "-7", "12"], None),
+        ("powers", [co.LIBRARY, "prime_powers_upto", "1e3"], None),
+        ("tau", [co.LIBRARY, "tau_chi_table", "8", "1e3"], None),
+        ("values", [co.LIBRARY, "values_up_to", "liouville*chi:-4", "1e3"], None),
+    ]
+    out = co.collect(str(root), calls)
+
+    def sha(*arrays):
+        return " ".join(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+
+    g = characters.gauss_sum(FundamentalDiscriminant(5))
+    vals = lseries.values_up_to(verify._mf_named("liouville*chi", -4), 1000)
+    want = {
+        "psi": sieve.psi_u(FundamentalDiscriminant(-4), 1e4, 10.5).hex(),
+        "gauss": f"{g.re.hex()} {g.im.hex()}",
+        "residual": characters.gauss_expansion_residual(FundamentalDiscriminant(-7), 12).hex(),
+        "powers": sha(*sieve.prime_powers_upto(1000)),
+        "tau": sha(sieve.tau_chi_table(FundamentalDiscriminant(8), 1000)),
+        "values": f"{float(np.sum(vals[1:])).hex()} {float(np.sum(vals[1:501])).hex()}",
+    }
+    for name, text in want.items():
+        assert out[f"{name}: stdout"] == text + "\n", name
+        assert out[f"{name}: exit code"] == "0\n"

@@ -244,6 +244,35 @@ def test_liouville_build_fills_one_byte_per_entry():
     assert lam.dtype == np.int8
 
 
+def test_primes_upto_holds_one_array_of_the_primes():
+    # the mask of 2^20 + 1 bytes and one int64 array of the 82025 primes
+    # peak at 1.63 MiB; an int64 copy of that array read 2.25 MiB
+    tracemalloc.start()
+    try:
+        ps = primes_upto(2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.95 * 2**20, peak / 2**20
+    assert ps.dtype == np.int64 and ps.size == 82025 and ps[-1] == 1048573
+
+
+def test_tau_chi_table_accumulates_the_int8_chi_values():
+    # at 1e5 the int64 table and the d > isqrt(x) with their int8 chi peak
+    # at 2.24 MiB; an int64 copy of chi at those d read 3.24 MiB
+    D = FundamentalDiscriminant(-4)
+    tau_chi_table(D, 10)  # the chi period is held
+    tracemalloc.start()
+    try:
+        tau = tau_chi_table(D, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * 2**20, peak / 2**20
+    # tau(n, chi_-4) counts the divisors 1 mod 4 less those 3 mod 4
+    assert tau.dtype == np.int64 and tau[5**5] == 6 and tau[3] == 0 and tau[9] == 1
+
+
 # Every public entry point that builds an array of length about n, through
 # primes_upto or chi_values_up_to
 LENGTH_N_BUILDERS = {

@@ -288,6 +288,44 @@ def test_tau_props_domain():
         verify_tau_props(FundamentalDiscriminant(-4), 4.0)
 
 
+def test_tau_props_reads_its_tables_as_built():
+    # warm, at y = 1e5 the check peaks at 2.6 MiB with the int64 tau table
+    # sliced over (q, y] and chi read in int8; gathering tau and n through
+    # an index and casting both to float64 read 4.05 MiB
+    import tracemalloc
+
+    D = FundamentalDiscriminant(-4)
+    verify_tau_props(D, 1e5)
+    tracemalloc.start()
+    try:
+        rep = verify_tau_props(D, 1e5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.3 * 2**20, peak / 2**20
+    assert rep.passed and rep.params["min_tau"] == 0
+
+
+def test_rho_base_accumulates_the_int8_liouville_values():
+    # with lambda to 2^17 held, the base's build peaks at 4.31 MiB; an int64
+    # copy of lambda at the d > isqrt(n) read 5.11 MiB
+    import tracemalloc
+
+    _ARRAYS.clear()
+    sieve.shared_sieve(2**17)
+    tracemalloc.start()
+    try:
+        base = verify._rho_base(2**17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _ARRAYS.clear()
+    assert peak < 4.7 * 2**20, peak / 2**20
+    # sum_{d | m} lambda(d) is 1 at the squares m and 0 elsewhere
+    squares = np.arange(1, math.isqrt(2**17) + 1) ** 2
+    assert np.array_equal(np.flatnonzero(base), squares)
+
+
 def test_theta_decomposition_constant():
     rep = verify_theta_decomposition(verify._mf_named("one", None), 10**4, 0.3)
     assert rep.passed

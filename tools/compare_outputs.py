@@ -38,12 +38,19 @@ writes:
   ``verify --suite all`` reaches, and for one fractional f, whose table is
   float64 (REPORT_CALLS);
 - the sha256 of cold ``chi_period`` tables at prime q up to 2^24 and at
-  4p and 8p (PERIOD_SHA_CALLS).
+  4p and 8p (PERIOD_SHA_CALLS);
+- library functions that no CLI path prints (LIBRARY_CALLS): ``psi_u``,
+  ``gauss_sum`` and ``gauss_expansion_residual`` as ``.hex()`` for d of
+  both signs, the sha256 of both columns of ``prime_powers_upto(10**7)``
+  and of ``tau_chi_table`` at x = 1e6, and the ``.hex()`` of the sums of
+  ``values_up_to`` over [1, x] and [1, x // 2] for the integer-valued f of
+  verify's THETA_GRID and MEAN_VARIATION_GRID at 1e6 and 1e7: sums, not
+  tables, since the table's dtype is the builder's to choose.
 
 Exit 0 when every output is byte-identical, 1 otherwise.  Then stderr
 names every output that differs, in the order of the calls, with its count
 of differing lines and its first differing line (number and both lines).
-The scan takes about 10 s a side on a 2-vCPU host; the rest about 8 s.
+The scan takes about 6 s a side on a 2-vCPU host; the rest about 6 s.
 """
 
 from __future__ import annotations
@@ -115,6 +122,23 @@ PERIOD_SHA = "chi_period_sha256"
 PERIOD_SHA_CALLS = [-1000003, 1000033, -999983, 4194301, -4194287, 16777213,
                     -4 * 250013, 8 * 250007]
 
+# The first word of a call that prints the value of one library function,
+# named by the word after it, with the arguments after that (_RUNNER's
+# library()): floats as .hex(), arrays as the sha256 of their bytes.
+LIBRARY = "library"
+
+# The integer-valued f of verify's THETA_GRID and MEAN_VARIATION_GRID.
+GRID_INTEGER_FS = ("one", "liouville", "liouville*chi:-4", "char-flip-cutoff:-4")
+
+LIBRARY_CALLS = (
+    [["psi_u", str(d), "1e6", "1000.5"] for d in TAU_DS]
+    + [["gauss_sum", str(d)] for d in TAU_DS]
+    + [["gauss_expansion_residual", str(d), "12345"] for d in TAU_DS]
+    + [["prime_powers_upto", "1e7"]]
+    + [["tau_chi_table", str(d), "1e6"] for d in (-4, 8, -200003, 200009)]
+    + [["values_up_to", f, x] for f in GRID_INTEGER_FS for x in ("1e6", "1e7")]
+)
+
 # d of the class-number calls; near |d| = 1e6 the oracle counts its forms
 # in three blocks.
 CLASS_NUMBER_CALLS = [-3, -4, -163, -999995, -999976, -999991, -999988]
@@ -122,12 +146,13 @@ CLASS_NUMBER_CALLS = [-3, -4, -163, -999995, -999976, -999991, -999988]
 # Runs a JSON list of argv vectors (stdin) through siegelscan.cli.main in
 # one process and writes a JSON list of {"code", "out"} (stdout) to stdout;
 # an argv [L_PRIME, d, x] prints the hex of L'(1) truncated at x instead,
-# [REPORT, check, *args] a report's JSON and [PERIOD_SHA, d] a period's hash.
+# [REPORT, check, *args] a report's JSON, [PERIOD_SHA, d] a period's hash
+# and [LIBRARY, name, *args] a library function's value.
 _RUNNER = """
 import contextlib, hashlib, io, json, sys
 import numpy as np
 from siegelscan import FundamentalDiscriminant, MultiplicativeFunc, l_one_prime_direct
-from siegelscan import characters, verify
+from siegelscan import characters, lseries, sieve, verify
 from siegelscan.cli import main, report_dict
 
 def mf(spec):
@@ -135,6 +160,30 @@ def mf(spec):
     if name == "halves":
         return MultiplicativeFunc("halves", lambda ps: np.where(ps %% 4 == 1, 0.5, -0.75))
     return verify._mf_named(name, int(d) if d else None)
+
+def sha(*arrays):
+    return " ".join(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+
+def sums(v):
+    x = v.size - 1
+    return " ".join(float(np.sum(v[1:stop])).hex() for stop in (x + 1, x // 2 + 1))
+
+def library(name, *args):
+    if name == "prime_powers_upto":
+        return sha(*sieve.prime_powers_upto(int(float(args[0]))))
+    if name == "values_up_to":
+        return sums(lseries.values_up_to(mf(args[0]), int(float(args[1]))))
+    D = FundamentalDiscriminant(int(args[0]))
+    if name == "psi_u":
+        return sieve.psi_u(D, float(args[1]), float(args[2])).hex()
+    if name == "gauss_sum":
+        g = characters.gauss_sum(D)
+        return g.re.hex() + " " + g.im.hex()
+    if name == "gauss_expansion_residual":
+        return characters.gauss_expansion_residual(D, int(args[1])).hex()
+    if name == "tau_chi_table":
+        return sha(sieve.tau_chi_table(D, int(float(args[1]))))
+    raise ValueError(name)
 
 results = []
 for argv in json.load(sys.stdin):
@@ -157,11 +206,13 @@ for argv in json.load(sys.stdin):
             characters.drop_period(D)
             print(hashlib.sha256(characters.chi_period(D).tobytes()).hexdigest())
             characters.drop_period(D)
+        elif argv[0] == %r:
+            print(library(*argv[1:]))
         else:
             code = main(argv)
     results.append({"code": code, "out": buf.getvalue()})
 json.dump(results, sys.stdout)
-""" % (L_PRIME, REPORT, PERIOD_SHA)
+""" % (L_PRIME, REPORT, PERIOD_SHA, LIBRARY)
 
 
 def load_perfbench_run(root: str):
@@ -199,6 +250,8 @@ def named_calls(run) -> list[tuple[str, list[str], str | None]]:
         calls.append((" ".join(args[:3]), [REPORT, *args], None))
     for d in PERIOD_SHA_CALLS:
         calls.append((f"chi_period sha256 {d}", [PERIOD_SHA, str(d)], None))
+    for args in LIBRARY_CALLS:
+        calls.append((" ".join(args), [LIBRARY, *args], None))
     return calls
 
 
