@@ -452,8 +452,7 @@ def integer_valued(f, x):
 @pytest.mark.parametrize("x", REFERENCE_XS)
 def test_values_up_to_equals_prime_loop(x):
     # an int8 table where every f(p) is -1, 0 or 1, equal to the loop's
-    # float64 table by ==, with the same sums as floats; float64 otherwise,
-    # bytes equal
+    # float64 table by ==; float64 otherwise, bytes equal
     for f in reference_functions():
         got, want = values_up_to(f, x), loop_values_up_to(f, x)
         if integer_valued(f, x):
@@ -465,6 +464,14 @@ def test_values_up_to_equals_prime_loop(x):
         if f.name in ("halves", "damped"):
             # at x = 1 no prime is evaluated, and the table is [0, 1] for every f
             assert integer_valued(f, x) == (x == 1), (f.name, x)
+
+
+@pytest.mark.parametrize("x", REFERENCE_XS)
+def test_narrow_values_sum_as_float64_bit_for_bit(x):
+    # the sums of values_up_to's table, int8 or float64, as floats equal the
+    # float64 pairwise sums of the loop's table bit for bit
+    for f in reference_functions():
+        got, want = values_up_to(f, x), loop_values_up_to(f, x)
         for stop in (x + 1, x // 2 + 1):
             a, b = float(np.sum(got[1:stop])), float(np.sum(want[1:stop]))
             assert a.hex() == b.hex(), (f.name, x, stop)
